@@ -11,6 +11,7 @@
 #include "csecg/core/cs_operator.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/linalg/vector_ops.hpp"
 #include "csecg/platform/msp430.hpp"
 #include "csecg/solvers/fista.hpp"
@@ -26,7 +27,7 @@ double mean_snr_for(const core::SensingMatrixConfig& sc) {
   const auto& db = bench::corpus();
   dsp::WaveletTransform psi(dsp::Wavelet::from_name("db4"), 512, 5);
   const core::SensingMatrix phi(sc);
-  const core::CsOperator<double> op(phi, psi);
+  const core::CsOperator<double> op(phi, psi, linalg::simd4_backend());
   const double lipschitz = 2.0 * linalg::estimate_spectral_norm_squared(op);
   util::RunningStats snr;
   const std::size_t records = std::min<std::size_t>(db.size(), 4);
@@ -43,6 +44,7 @@ double mean_snr_for(const core::SensingMatrixConfig& sc) {
       std::vector<double> aty(512);
       op.apply_adjoint(std::span<const double>(y), std::span<double>(aty));
       solvers::ShrinkageOptions options;
+      options.backend = &linalg::simd4_backend();
       options.lambda = 0.01 * linalg::norm_inf(std::span<const double>(aty));
       options.max_iterations = 1200;
       options.tolerance = 1e-5;

@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "csecg/core/codec.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 
 int main() {
@@ -22,6 +23,7 @@ int main() {
   for (const unsigned shift : {0u, 1u, 2u, 3u, 4u, 5u, 6u}) {
     core::DecoderConfig config;
     config.cs.measurement_shift = shift;
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     // Each shift reshapes the difference distribution; retrain the book.
     const auto book = core::train_difference_codebook(db, config.cs);
     core::CsEcgCodec codec(config, book);

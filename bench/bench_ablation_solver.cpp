@@ -9,6 +9,7 @@
 #include "csecg/core/cs_operator.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/linalg/vector_ops.hpp"
 #include "csecg/solvers/fista.hpp"
 #include "csecg/solvers/omp.hpp"
@@ -23,7 +24,7 @@ int main() {
   dsp::WaveletTransform psi(dsp::Wavelet::from_name("db4"), 512, 5);
   core::SensingMatrixConfig sc;  // sparse binary 256x512 d=12
   const core::SensingMatrix phi(sc);
-  const core::CsOperator<double> op(phi, psi);
+  const core::CsOperator<double> op(phi, psi, linalg::simd4_backend());
   const double lipschitz = 2.0 * linalg::estimate_spectral_norm_squared(op);
 
   // Fixed iteration budgets show the convergence-rate gap; OMP runs to a
@@ -62,6 +63,7 @@ int main() {
 
   const auto shrinkage_options = [&](std::size_t budget) {
     solvers::ShrinkageOptions options;
+    options.backend = &linalg::simd4_backend();
     options.max_iterations = budget;
     options.tolerance = 0.0;  // spend the whole budget
     options.lipschitz = lipschitz;

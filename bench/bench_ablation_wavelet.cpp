@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "csecg/core/codec.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 
 int main() {
@@ -20,6 +21,7 @@ int main() {
   const auto run = [&](const std::string& name, int levels) {
     core::DecoderConfig config;
     config.wavelet = name;
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     config.levels = levels;
     core::CsEcgCodec codec(config, bench::codebook());
     double prd = 0.0;
@@ -52,6 +54,7 @@ int main() {
   for (const double w : {1.0, 0.3, 0.1, 0.0}) {
     core::DecoderConfig config;
     config.approx_lambda_weight = w;
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     core::CsEcgCodec codec(config, bench::codebook());
     double prd = 0.0;
     double iters = 0.0;

@@ -19,6 +19,7 @@
 #include "csecg/core/cs_operator.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/ecg/noise.hpp"
 #include "csecg/linalg/vector_ops.hpp"
 #include "csecg/solvers/fista.hpp"
@@ -47,7 +48,7 @@ PathResult run_path(const std::vector<double>& mv, unsigned analog_bits,
   sc.cols = 512;
   sc.d = 12;
   const core::SensingMatrix phi(sc);
-  const core::CsOperator<double> op(phi, psi);
+  const core::CsOperator<double> op(phi, psi, linalg::simd4_backend());
   const double lipschitz = 2.0 * linalg::estimate_spectral_norm_squared(op);
   const ecg::AdcModel adc;  // 11-bit over 10 mV
 
@@ -98,6 +99,7 @@ PathResult run_path(const std::vector<double>& mv, unsigned analog_bits,
     std::vector<double> aty(512);
     op.apply_adjoint(std::span<const double>(y), std::span<double>(aty));
     solvers::ShrinkageOptions options;
+    options.backend = &linalg::simd4_backend();
     options.lambda = 0.01 * linalg::norm_inf(std::span<const double>(aty));
     options.max_iterations = 1200;
     options.tolerance = 1e-5;

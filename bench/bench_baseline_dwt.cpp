@@ -9,6 +9,7 @@
 #include "csecg/baseline/wavelet_codec.hpp"
 #include "csecg/core/codec.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/platform/energy.hpp"
 #include "csecg/platform/msp430.hpp"
 #include "csecg/util/table.hpp"
@@ -75,6 +76,7 @@ Point run_cs(double cr_target) {
   const auto& db = bench::corpus();
   core::DecoderConfig config;
   config.cs.measurements = core::measurements_for_cr(512, cr_target);
+  config.backend = &linalg::simd4_backend();  // the paper's schedule
   const auto book = core::train_difference_codebook(db, config.cs);
   core::CsEcgCodec codec(config, book);
   const platform::Msp430Model msp;

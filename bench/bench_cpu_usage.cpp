@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 #include "csecg/wbsn/pipeline.hpp"
 
@@ -23,6 +24,7 @@ int main() {
   for (const double cr : {30.0, 50.0, 70.0}) {
     core::DecoderConfig config;
     config.cs.measurements = core::measurements_for_cr(512, cr);
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     wbsn::RealTimePipeline pipeline(config, bench::codebook());
     double node_cpu = 0.0;
     double coord_cpu = 0.0;

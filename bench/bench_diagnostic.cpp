@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 #include "csecg/core/codec.hpp"
 #include "csecg/ecg/qrs_detector.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 
 int main() {
@@ -26,6 +27,7 @@ int main() {
   for (const double cr : {30.0, 50.0, 70.0, 85.0}) {
     core::DecoderConfig config;
     config.cs.measurements = core::measurements_for_cr(512, cr);
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     core::Encoder encoder(config.cs, bench::codebook());
     core::Decoder decoder(config, bench::codebook());
 

@@ -14,6 +14,7 @@
 #include "csecg/core/sensing_matrix.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/linalg/vector_ops.hpp"
 #include "csecg/solvers/fista.hpp"
 #include "csecg/util/stats.hpp"
@@ -32,7 +33,7 @@ double mean_snr(core::SensingMatrixType type, std::size_t m) {
   sc.cols = 512;
   sc.d = 12;
   const core::SensingMatrix phi(sc);
-  const core::CsOperator<double> op(phi, psi);
+  const core::CsOperator<double> op(phi, psi, linalg::simd4_backend());
   const double lipschitz = 2.0 * linalg::estimate_spectral_norm_squared(op);
 
   util::RunningStats snr;
@@ -49,6 +50,7 @@ double mean_snr(core::SensingMatrixType type, std::size_t m) {
       std::vector<double> aty(512);
       op.apply_adjoint(std::span<const double>(y), std::span<double>(aty));
       solvers::ShrinkageOptions options;
+      options.backend = &linalg::simd4_backend();
       options.lambda = 0.01 * linalg::norm_inf(std::span<const double>(aty));
       options.max_iterations = 1500;
       options.tolerance = 1e-5;

@@ -10,6 +10,7 @@
 #include "bench_common.hpp"
 #include "csecg/core/codec.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 
 int main() {
@@ -26,6 +27,7 @@ int main() {
   for (const double cr : {30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0}) {
     core::DecoderConfig config;
     config.cs.measurements = core::measurements_for_cr(512, cr);
+    config.backend = &linalg::simd4_backend();  // the paper's schedule
     core::CsEcgCodec codec64(config, bench::codebook());
     core::CsEcgCodec codec32(config, bench::codebook());
     double prd64 = 0.0;

@@ -17,18 +17,15 @@
 //     speedup column is only meaningful up to the printed hardware
 //     concurrency.
 
-#include <execinfo.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <map>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "csecg/core/decoder.hpp"
 #include "csecg/core/encoder.hpp"
@@ -36,77 +33,6 @@
 #include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 #include "csecg/wbsn/fleet.hpp"
-
-namespace {
-
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::size_t> g_allocations{0};
-
-// Set CSECG_ALLOC_TRAP=1 to abort on the first counted allocation: a
-// backtrace then names the offender directly.
-bool trap_on_allocation() {
-  static const bool trap = [] {
-    const char* value = std::getenv("CSECG_ALLOC_TRAP");
-    return value != nullptr && value[0] == '1';
-  }();
-  return trap;
-}
-
-void note_allocation() {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (trap_on_allocation()) {
-      void* frames[32];
-      const int depth = backtrace(frames, 32);
-      backtrace_symbols_fd(frames, depth, 2);
-      std::abort();
-    }
-  }
-}
-
-}  // namespace
-
-// Counting hooks for every replaceable allocation path the toolchain may
-// route through. Deallocation stays free-running: only allocations after
-// warm-up matter for the steady-state claim.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  note_allocation();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) -
-                                    1) &
-                                       ~(static_cast<std::size_t>(align) -
-                                         1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 int main(int argc, char** argv) {
   using namespace csecg;
@@ -156,8 +82,7 @@ int main(int argc, char** argv) {
                                         workspace, window);
       }
     }
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_count_allocations.store(true, std::memory_order_relaxed);
+    alloc_counter::begin();
     for (std::size_t w = warmup; w < packets.size(); ++w) {
       if (decoder.decode_measurements_into(packets[w], y)) {
         decoder.reconstruct_into<float>(std::span<const std::int32_t>(y),
@@ -165,8 +90,7 @@ int main(int argc, char** argv) {
         ++alloc_windows;
       }
     }
-    g_count_allocations.store(false, std::memory_order_relaxed);
-    allocations = g_allocations.load(std::memory_order_relaxed);
+    allocations = alloc_counter::end();
   }
   const double allocs_per_window =
       alloc_windows == 0 ? -1.0
@@ -223,14 +147,12 @@ int main(int argc, char** argv) {
           std::span<core::DecodedWindow<float>>(windows));
     };
     run_batch(flat_batches.front());  // warm-up: sizes all scratch
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_count_allocations.store(true, std::memory_order_relaxed);
+    alloc_counter::begin();
     for (std::size_t i = 1; i < flat_batches.size(); ++i) {
       run_batch(flat_batches[i]);
       batch_windows += kBatch;
     }
-    g_count_allocations.store(false, std::memory_order_relaxed);
-    batch_allocations = g_allocations.load(std::memory_order_relaxed);
+    batch_allocations = alloc_counter::end();
   }
   const double batch_allocs_per_window =
       batch_windows == 0 ? -1.0
@@ -286,8 +208,7 @@ int main(int argc, char** argv) {
     const std::size_t counted_from = 1 + pre + 1 + 8;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       if (i == counted_from) {
-        g_allocations.store(0, std::memory_order_relaxed);
-        g_count_allocations.store(true, std::memory_order_relaxed);
+        alloc_counter::begin();
       }
       if (decoder.consume(packets[i], y) ==
           core::Decoder::FrameOutcome::kWindow) {
@@ -298,8 +219,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    g_count_allocations.store(false, std::memory_order_relaxed);
-    switch_allocations = g_allocations.load(std::memory_order_relaxed);
+    switch_allocations = alloc_counter::end();
   }
   const double switch_allocs_per_window =
       switch_windows == 0 ? -1.0

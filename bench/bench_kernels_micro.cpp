@@ -24,6 +24,7 @@
 #include "csecg/core/packet.hpp"
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/linalg/backend.hpp"
+#include "csecg/linalg/sparse_binary_matrix.hpp"
 #include "csecg/obs/flight_recorder.hpp"
 #include "csecg/util/rng.hpp"
 
@@ -198,6 +199,34 @@ void register_kernels() {
               static_cast<std::int64_t>(kCount * kTaps * 2));
         });
 
+    // The two wavelet legs of one FISTA iteration, single row: Psi^T
+    // (forward, after Phi^T) and Psi (inverse, before Phi).
+    benchmark::RegisterBenchmark(
+        ("wavelet_forward/512" + suffix).c_str(),
+        [be](benchmark::State& state) {
+          const dsp::WaveletTransform wt(dsp::Wavelet::from_name("db4"), 512,
+                                         5);
+          const auto x = random_vector(512, 9);
+          std::vector<float> coeffs(512);
+          for (auto _ : state) {
+            wt.forward<float>(x, coeffs, *be);
+            benchmark::DoNotOptimize(coeffs.data());
+          }
+        });
+
+    benchmark::RegisterBenchmark(
+        ("wavelet_inverse/512" + suffix).c_str(),
+        [be](benchmark::State& state) {
+          const dsp::WaveletTransform wt(dsp::Wavelet::from_name("db4"), 512,
+                                         5);
+          const auto coeffs = random_vector(512, 9);
+          std::vector<float> x(512);
+          for (auto _ : state) {
+            wt.inverse<float>(coeffs, x, *be);
+            benchmark::DoNotOptimize(x.data());
+          }
+        });
+
     benchmark::RegisterBenchmark(
         ("wavelet_round_trip/512" + suffix).c_str(),
         [be](benchmark::State& state) {
@@ -213,6 +242,57 @@ void register_kernels() {
           }
         });
   }
+
+  // Phi and Phi^T of the CR-50 frame (M 256, N 512, d 12). The sparse
+  // projection is gather/scatter over its index table and runs no
+  // backend kernel, so it has one row rather than one per backend.
+  benchmark::RegisterBenchmark(
+      "sparse_apply/256x512", [](benchmark::State& state) {
+        util::Rng rng(40);
+        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
+        const auto x = random_vector(512, 41);
+        std::vector<float> y(256);
+        for (auto _ : state) {
+          phi.apply<float>(x, y);
+          benchmark::DoNotOptimize(y.data());
+        }
+      });
+  benchmark::RegisterBenchmark(
+      "sparse_apply_transpose/256x512", [](benchmark::State& state) {
+        util::Rng rng(40);
+        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
+        const auto y = random_vector(256, 42);
+        std::vector<float> x(512);
+        for (auto _ : state) {
+          phi.apply_transpose<float>(y, x);
+          benchmark::DoNotOptimize(x.data());
+        }
+      });
+
+  // The same pair over a 4-row panel (one lane group), per call: divide
+  // by 4 for the per-row cost the panel claims in DESIGN.md §4i.
+  benchmark::RegisterBenchmark(
+      "sparse_apply_batch/4x256x512", [](benchmark::State& state) {
+        util::Rng rng(40);
+        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
+        const auto x = random_vector(4 * 512, 43);
+        std::vector<float> y(4 * 256);
+        for (auto _ : state) {
+          phi.apply_batch<float>(x, y, 4);
+          benchmark::DoNotOptimize(y.data());
+        }
+      });
+  benchmark::RegisterBenchmark(
+      "sparse_apply_transpose_batch/4x256x512", [](benchmark::State& state) {
+        util::Rng rng(40);
+        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
+        const auto y = random_vector(4 * 256, 44);
+        std::vector<float> x(4 * 512);
+        for (auto _ : state) {
+          phi.apply_transpose_batch<float>(y, x, 4);
+          benchmark::DoNotOptimize(x.data());
+        }
+      });
 
   // The gateway ingest hot path in miniature: CRC a frame-sized buffer,
   // then (ON builds only) append one structured event to the flight

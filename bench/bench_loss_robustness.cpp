@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/table.hpp"
 #include "csecg/wbsn/pipeline.hpp"
 
@@ -27,6 +28,7 @@ int main() {
       }
       core::DecoderConfig config;
       config.cs.keyframe_interval = 16;
+      config.backend = &linalg::simd4_backend();  // the paper's schedule
       const auto book = bench::codebook();
 
       std::size_t input = 0;

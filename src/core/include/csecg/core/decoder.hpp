@@ -68,9 +68,9 @@ struct DecoderConfig {
   std::size_t max_iterations = 2000;
   double tolerance = 1e-5;
   /// Kernel backend the decode runs through (operators, solver and
-  /// inverse DWT alike). Null = the library default (the simd4 NEON
-  /// schedule model). Must outlive the decoder; the shared singletons
-  /// from linalg/backend.hpp always do.
+  /// inverse DWT alike). Null = the library default (native, see
+  /// linalg::default_backend). Must outlive the decoder; the shared
+  /// singletons from linalg/backend.hpp always do.
   const linalg::Backend* backend = nullptr;
   bool record_objective = false;
   /// l1 weight applied to the wavelet approximation band relative to the

@@ -1,6 +1,8 @@
 #include "csecg/dsp/dwt.hpp"
 
+#include <algorithm>
 #include <type_traits>
+#include <utility>
 
 #include "csecg/util/error.hpp"
 
@@ -8,14 +10,29 @@ namespace csecg::dsp {
 
 namespace {
 
-/// Fills ext (n + taps - 1 elements) with the periodic extension of s.
+/// Writes the periodic extension of s[0, n) into ext[0, n + taps - 1): a
+/// block copy, then a taps - 1 wrap that re-reads ext itself, so a level
+/// shorter than the wrap (n < taps - 1, deep levels of long filters)
+/// repeats as often as it needs to.
 template <typename T>
-void periodic_extend(std::span<const T> s, std::size_t taps,
-                     std::vector<T>& ext) {
-  const std::size_t n = s.size();
-  ext.resize(n + taps - 1);
-  for (std::size_t i = 0; i < ext.size(); ++i) {
-    ext[i] = s[i % n];
+void periodic_extend(const T* s, std::size_t n, std::size_t taps, T* ext) {
+  std::copy(s, s + n, ext);
+  for (std::size_t i = 0; i + 1 < taps; ++i) {
+    ext[n + i] = ext[i];
+  }
+}
+
+/// Folds the periodic tail x_ext[n, n + taps - 1) back onto the head in
+/// place, adding in ascending tail order (the head wraps when the tail is
+/// longer than n).
+template <typename T>
+void fold_tail(T* x_ext, std::size_t n, std::size_t taps) {
+  std::size_t j = 0;
+  for (std::size_t i = 0; i + 1 < taps; ++i) {
+    x_ext[j] += x_ext[n + i];
+    if (++j == n) {
+      j = 0;
+    }
   }
 }
 
@@ -53,45 +70,59 @@ SubbandLayout WaveletTransform::layout() const {
 }
 
 template <typename T>
+const T* WaveletTransform::lowpass() const {
+  if constexpr (std::is_same_v<T, float>) {
+    return h_f_.data();
+  } else {
+    return h_d_.data();
+  }
+}
+
+template <typename T>
+const T* WaveletTransform::highpass() const {
+  if constexpr (std::is_same_v<T, float>) {
+    return g_f_.data();
+  } else {
+    return g_d_.data();
+  }
+}
+
+template <typename T>
+T* WaveletTransform::level_buffers(std::size_t batch) const {
+  std::vector<T>* work;
+  if constexpr (std::is_same_v<T, float>) {
+    work = &work_f_;
+  } else {
+    work = &work_d_;
+  }
+  const std::size_t need = 2 * batch * level_stride();
+  if (work->size() < need) {
+    work->resize(need);
+  }
+  return work->data();
+}
+
+template <typename T>
 void WaveletTransform::forward(std::span<const T> x, std::span<T> coeffs,
                                const linalg::Backend& backend) const {
   CSECG_CHECK(x.size() == length_ && coeffs.size() == length_,
               "forward: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  // Scratch is thread-local so the per-iteration FISTA applies never
-  // allocate in steady state (the buffers only grow; assign()/resize()
-  // reuse capacity once warmed up). Sized per thread, so concurrent
-  // transforms on a decode worker pool do not contend.
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> ext;
-  thread_local std::vector<T> next;
-  approx.assign(x.begin(), x.end());
+  T* ext = level_buffers<T>(1);
+  // The first n coefficients always hold the n-point transform of the
+  // current approximation: its detail half goes to [half, n), and the
+  // coarser content keeps refining [0, half), which the next level
+  // extends from.
+  const T* approx = x.data();
   std::size_t n = length_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t half = n / 2;
-    periodic_extend(std::span<const T>(approx.data(), n), taps, ext);
-    next.resize(half);
-    // The first n coefficients always hold the n-point transform of the
-    // current approximation: its detail half goes to [half, n), and the
-    // coarser content keeps refining [0, half).
-    T* detail_out = coeffs.data() + half;
-    backend.dual_band_analysis(ext.data(), h, g, next.data(), detail_out,
-                               half, taps);
-    approx.swap(next);
+    periodic_extend(approx, n, taps, ext);
+    backend.dual_band_analysis(ext, lowpass<T>(), highpass<T>(),
+                               coeffs.data(), coeffs.data() + half, half,
+                               taps);
+    approx = coeffs.data();
     n = half;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    coeffs[i] = approx[i];
   }
 }
 
@@ -101,42 +132,21 @@ void WaveletTransform::inverse(std::span<const T> coeffs, std::span<T> x,
   CSECG_CHECK(coeffs.size() == length_ && x.size() == length_,
               "inverse: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  const std::size_t coarsest = length_ >> levels_;
-  // Thread-local for the same steady-state allocation-free reason as in
-  // forward(); see the note there.
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> x_ext;
-  thread_local std::vector<T> next;
-  approx.assign(coeffs.begin(),
-                coeffs.begin() + static_cast<std::ptrdiff_t>(coarsest));
-  std::size_t half = coarsest;
+  T* cur = level_buffers<T>(1);
+  T* spare = cur + level_stride();
+  const T* approx = coeffs.data();
+  std::size_t half = length_ >> levels_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t n = 2 * half;
-    const T* detail = coeffs.data() + half;
-    x_ext.assign(n + taps - 1, T{});
-    backend.dual_band_synthesis(approx.data(), detail, h, g, x_ext.data(),
-                                half, taps);
-    next.assign(x_ext.begin(), x_ext.begin() + static_cast<std::ptrdiff_t>(n));
-    // Fold the periodic tail back onto the head.
-    for (std::size_t i = n; i < x_ext.size(); ++i) {
-      next[i % n] += x_ext[i];
-    }
-    approx.swap(next);
+    std::fill(cur, cur + n + taps - 1, T{});
+    backend.dual_band_synthesis(approx, coeffs.data() + half, lowpass<T>(),
+                                highpass<T>(), cur, half, taps);
+    fold_tail(cur, n, taps);
+    approx = cur;
+    std::swap(cur, spare);
     half = n;
   }
-  for (std::size_t i = 0; i < length_; ++i) {
-    x[i] = approx[i];
-  }
+  std::copy(approx, approx + length_, x.data());
 }
 
 template <typename T>
@@ -146,50 +156,22 @@ void WaveletTransform::forward_batch(std::span<const T> x, std::span<T> coeffs,
   CSECG_CHECK(x.size() == batch * length_ && coeffs.size() == batch * length_,
               "forward_batch: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  // Panel scratch, thread-local for the same allocation-free steady state
-  // as forward(). approx holds batch rows at the current level's stride n;
-  // ext holds the batch's periodic extensions.
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> ext;
-  thread_local std::vector<T> next;
-  approx.assign(x.begin(), x.end());
+  const std::size_t stride = level_stride();
+  T* ext = level_buffers<T>(batch);
+  // Per row exactly forward(): row b's approximation and detail both land
+  // in its coefficient row (out_a and out_d stride at the window length).
+  const T* approx = x.data();
   std::size_t n = length_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t half = n / 2;
-    const std::size_t ext_stride = n + taps - 1;
-    ext.resize(batch * ext_stride);
     for (std::size_t b = 0; b < batch; ++b) {
-      const T* s = approx.data() + b * n;
-      T* e = ext.data() + b * ext_stride;
-      for (std::size_t i = 0; i < ext_stride; ++i) {
-        e[i] = s[i % n];
-      }
+      periodic_extend(approx + b * length_, n, taps, ext + b * stride);
     }
-    next.resize(batch * half);
-    // Row b's detail half lands at coeffs[b * length_ + half, b * length_
-    // + n): out_d strides at the window length while out_a is compact.
-    backend.dwt_analysis_batch(ext.data(), h, g, next.data(),
-                               coeffs.data() + half, batch, half, taps,
-                               ext_stride, half, length_);
-    approx.swap(next);
+    backend.dwt_analysis_batch(ext, lowpass<T>(), highpass<T>(),
+                               coeffs.data(), coeffs.data() + half, batch,
+                               half, taps, stride, length_, length_);
+    approx = coeffs.data();
     n = half;
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    const T* s = approx.data() + b * n;
-    T* c = coeffs.data() + b * length_;
-    for (std::size_t i = 0; i < n; ++i) {
-      c[i] = s[i];
-    }
   }
 }
 
@@ -200,53 +182,31 @@ void WaveletTransform::inverse_batch(std::span<const T> coeffs,
   CSECG_CHECK(coeffs.size() == batch * length_ && x.size() == batch * length_,
               "inverse_batch: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  const std::size_t coarsest = length_ >> levels_;
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> x_ext;
-  thread_local std::vector<T> next;
-  approx.resize(batch * coarsest);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const T* c = coeffs.data() + b * length_;
-    T* a = approx.data() + b * coarsest;
-    for (std::size_t i = 0; i < coarsest; ++i) {
-      a[i] = c[i];
-    }
-  }
-  std::size_t half = coarsest;
+  const std::size_t stride = level_stride();
+  T* cur = level_buffers<T>(batch);
+  T* spare = cur + batch * stride;
+  const T* approx = coeffs.data();
+  std::size_t a_stride = length_;
+  std::size_t half = length_ >> levels_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t n = 2 * half;
-    const std::size_t ext_stride = n + taps - 1;
-    x_ext.assign(batch * ext_stride, T{});
-    backend.dwt_synthesis_batch(approx.data(), coeffs.data() + half, h, g,
-                                x_ext.data(), batch, half, taps, half,
-                                length_, ext_stride);
-    next.resize(batch * n);
     for (std::size_t b = 0; b < batch; ++b) {
-      const T* e = x_ext.data() + b * ext_stride;
-      T* o = next.data() + b * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        o[i] = e[i];
-      }
-      // Fold the periodic tail back onto the head, as in inverse().
-      for (std::size_t i = n; i < ext_stride; ++i) {
-        o[i % n] += e[i];
-      }
+      std::fill(cur + b * stride, cur + b * stride + n + taps - 1, T{});
     }
-    approx.swap(next);
+    backend.dwt_synthesis_batch(approx, coeffs.data() + half, lowpass<T>(),
+                                highpass<T>(), cur, batch, half, taps,
+                                a_stride, length_, stride);
+    for (std::size_t b = 0; b < batch; ++b) {
+      fold_tail(cur + b * stride, n, taps);
+    }
+    approx = cur;
+    a_stride = stride;
+    std::swap(cur, spare);
     half = n;
   }
-  for (std::size_t i = 0; i < batch * length_; ++i) {
-    x[i] = approx[i];
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::copy(approx + b * a_stride, approx + b * a_stride + length_,
+              x.data() + b * length_);
   }
 }
 

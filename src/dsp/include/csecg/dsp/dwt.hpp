@@ -15,6 +15,11 @@
 /// (these are the "filtering functions" whose vectorisation §IV-B
 /// describes); the default is the reference backend, and the decoder
 /// passes its configured backend through the CS operator.
+///
+/// Each transform owns its level buffers (sized on first use per
+/// precision and panel height, reused afterwards, so steady-state calls
+/// never allocate). A transform is therefore not internally synchronised:
+/// like the Decoder that owns one, it serves one thread at a time.
 
 #include <cstddef>
 #include <span>
@@ -46,7 +51,8 @@ class WaveletTransform {
   const Wavelet& wavelet() const { return wavelet_; }
   SubbandLayout layout() const;
 
-  /// coeffs = Psi^T x (analysis). Both spans have length() elements.
+  /// coeffs = Psi^T x (analysis). Both spans have length() elements and
+  /// may be the same span.
   template <typename T>
   void forward(
       std::span<const T> x, std::span<T> coeffs,
@@ -77,12 +83,28 @@ class WaveletTransform {
       const linalg::Backend& backend = linalg::reference_backend()) const;
 
  private:
+  template <typename T>
+  const T* lowpass() const;
+  template <typename T>
+  const T* highpass() const;
+  /// Two panels of `batch` rows at level_stride(), grown on demand.
+  template <typename T>
+  T* level_buffers(std::size_t batch) const;
+  /// Row stride of the level buffers: the longest periodic extension,
+  /// length() + taps - 1.
+  std::size_t level_stride() const { return length_ + wavelet_.length() - 1; }
+
   Wavelet wavelet_;
   std::size_t length_;
   int levels_;
   // Filters converted once per precision.
   std::vector<double> h_d_, g_d_;
   std::vector<float> h_f_, g_f_;
+  // Level buffers: analysis extends each level into the first panel and
+  // writes straight into the coefficient vector; synthesis ping-pongs
+  // between the two panels and folds each level's periodic tail in place.
+  mutable std::vector<double> work_d_;
+  mutable std::vector<float> work_f_;
 };
 
 }  // namespace csecg::dsp

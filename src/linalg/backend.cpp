@@ -1,9 +1,9 @@
 #include "csecg/linalg/backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
 // The kNative implementation uses GCC/Clang vector extensions; it is
 // compiled only when the build opts in (CSECG_NATIVE_SIMD) and the
@@ -637,8 +637,10 @@ struct Simd4Ops {
 // extensions — 32-byte vectors (8 float / 4 double lanes). Unaligned
 // access goes through memcpy, which the compiler folds into vector
 // load/store instructions. The elementwise kernels and dot carry the
-// FISTA iteration cost and get explicit wide vectors; the gather-bound
-// filter nests use L-lane accumulator blocks the autovectoriser handles.
+// FISTA iteration cost and get explicit wide vectors. The wavelet filter
+// nests hold L consecutive outputs per vector accumulator; every lane
+// adds its taps in the reference loop's order, so they are bitwise equal
+// to the reference kernels.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -856,25 +858,23 @@ struct NativeOps {
   static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
                                  T* out_a, T* out_d, std::size_t half_n,
                                  std::size_t taps) {
+    using V = typename NativeVec<T>::V;
     constexpr std::size_t L = NativeVec<T>::kLanes;
     const std::size_t blocks = half_n / L;
     for (std::size_t blk = 0; blk < blocks; ++blk) {
       const std::size_t i = blk * L;
-      T la[L] = {};
-      T ld[L] = {};
+      V la{};
+      V ld{};
       for (std::size_t j = 0; j < taps; ++j) {
-        const T c0 = h0[j];
-        const T c1 = h1[j];
+        V s;
         for (std::size_t lane = 0; lane < L; ++lane) {
-          const T s = ext[2 * (i + lane) + j];
-          la[lane] += s * c0;
-          ld[lane] += s * c1;
+          s[lane] = ext[2 * (i + lane) + j];
         }
+        la += s * h0[j];
+        ld += s * h1[j];
       }
-      for (std::size_t lane = 0; lane < L; ++lane) {
-        out_a[i + lane] = la[lane];
-        out_d[i + lane] = ld[lane];
-      }
+      vstore<T>(out_a + i, la);
+      vstore<T>(out_d + i, ld);
     }
     for (std::size_t i = blocks * L; i < half_n; ++i) {
       const T* s = ext + 2 * i;
@@ -889,85 +889,75 @@ struct NativeOps {
     }
   }
 
-  // Overlapping writes force the outer loop scalar (as in the NEON
-  // schedule); the tap loop is short (db4: 8), so leave it plain.
+  // One output of the gather form: x_ext[p] plus every a*f0 + d*f1 term
+  // that lands on p, in ascending input index i — the order the scatter
+  // form's outer loop adds them in, so the sum is bitwise the same.
+  template <typename T>
+  static void synthesis_gather_one(const T* approx, const T* detail,
+                                   const T* f0, const T* f1, T* x_ext,
+                                   std::size_t half_n, std::size_t taps,
+                                   std::size_t p) {
+    const std::size_t i_lo = p + 1 < taps ? 0 : (p - taps + 2) / 2;
+    const std::size_t i_hi = std::min(half_n - 1, p / 2);
+    T acc = x_ext[p];
+    for (std::size_t i = i_lo; i <= i_hi; ++i) {
+      const std::size_t j = p - 2 * i;
+      acc += approx[i] * f0[j] + detail[i] * f1[j];
+    }
+    x_ext[p] = acc;
+  }
+
+  // Gather form of the synthesis accumulation. The scatter form's
+  // consecutive inputs write overlapping x_ext windows, which serialises
+  // it; gathered, every output is independent. With an even filter
+  // (every wavelet family) the outputs 2k and 2k + 1 for k in
+  // [taps/2 - 1, half_n) each take exactly taps/2 terms from inputs
+  // k - taps/2 + 1 .. k, so blocks of L consecutive k run as L-lane
+  // accumulators over contiguous approx/detail loads. The head, the
+  // tail and odd filters take the per-output loop.
   template <typename T>
   static void dual_band_synthesis(const T* approx, const T* detail,
                                   const T* f0, const T* f1, T* x_ext,
                                   std::size_t half_n, std::size_t taps) {
-    RefOps::dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n, taps);
-  }
-
-  // Panel (lanes-across-rows) synthesis. Full groups of kPanelLanes batch
-  // rows are transposed into an interleaved scratch panel where sample
-  // position p of the group's rows sits contiguously. The single-row
-  // synthesis is serialised by its overlapping "+=" windows (consecutive
-  // outputs write the same x_ext cells); across batch rows the
-  // accumulations are independent, so interleaved they become contiguous
-  // 4-wide ops — a speedup that is structurally impossible row by row.
-  // Each lane replays one row's scalar schedule exactly (outputs
-  // ascending, taps in order, the a*f0 + d*f1 shape), so per-row results
-  // stay bitwise equal to the single-row kernel; a partial tail group
-  // runs row by row. Analysis has no such panel variant: its tap reads
-  // are already contiguous per output, and the single-row blocked kernel
-  // is the better schedule.
-  static constexpr std::size_t kPanelLanes = 4;
-
-  template <typename T>
-  static std::vector<T>& panel_scratch() {
-    static thread_local std::vector<T> scratch;
-    return scratch;
-  }
-
-  template <typename T>
-  static void dual_band_synthesis_batch(const T* approx, const T* detail,
-                                        const T* f0, const T* f1, T* x_ext,
-                                        std::size_t batch,
-                                        std::size_t half_n, std::size_t taps,
-                                        std::size_t a_stride,
-                                        std::size_t d_stride,
-                                        std::size_t ext_stride) {
-    constexpr std::size_t G = kPanelLanes;
-    // The scalar kernel touches x_ext[2*(half_n-1) + taps - 1] at most;
-    // cells past that keep whatever the caller left there.
-    const std::size_t ext_len = 2 * (half_n - 1) + taps;
-    std::vector<T>& panel = panel_scratch<T>();
-    std::size_t b0 = 0;
-    for (; b0 + G <= batch; b0 += G) {
-      panel.resize(ext_len * G);
-      for (std::size_t l = 0; l < G; ++l) {
-        const T* src = x_ext + (b0 + l) * ext_stride;
-        for (std::size_t i = 0; i < ext_len; ++i) {
-          panel[i * G + l] = src[i];
-        }
-      }
-      for (std::size_t i = 0; i < half_n; ++i) {
-        T a[G];
-        T d[G];
-        for (std::size_t l = 0; l < G; ++l) {
-          a[l] = approx[(b0 + l) * a_stride + i];
-          d[l] = detail[(b0 + l) * d_stride + i];
-        }
-        T* x = panel.data() + 2 * i * G;
-        for (std::size_t j = 0; j < taps; ++j) {
-          const T c0 = f0[j];
-          const T c1 = f1[j];
-          T* xj = x + j * G;
-          for (std::size_t l = 0; l < G; ++l) {
-            xj[l] += a[l] * c0 + d[l] * c1;
-          }
-        }
-      }
-      for (std::size_t l = 0; l < G; ++l) {
-        T* dst = x_ext + (b0 + l) * ext_stride;
-        for (std::size_t i = 0; i < ext_len; ++i) {
-          dst[i] = panel[i * G + l];
-        }
-      }
+    if (half_n == 0) {
+      return;
     }
-    for (; b0 < batch; ++b0) {
-      dual_band_synthesis(approx + b0 * a_stride, detail + b0 * d_stride,
-                          f0, f1, x_ext + b0 * ext_stride, half_n, taps);
+    constexpr std::size_t L = NativeVec<T>::kLanes;
+    const std::size_t outputs = 2 * half_n + taps - 2;
+    std::size_t p = 0;
+    if (taps % 2 == 0) {
+      const std::size_t half_taps = taps / 2;
+      const std::size_t k0 = half_taps - 1;
+      for (; p < 2 * k0; ++p) {
+        synthesis_gather_one(approx, detail, f0, f1, x_ext, half_n, taps, p);
+      }
+      using V = typename NativeVec<T>::V;
+      std::size_t k = k0;
+      for (; k + L <= half_n; k += L) {
+        V even;
+        V odd;
+        for (std::size_t lane = 0; lane < L; ++lane) {
+          even[lane] = x_ext[2 * (k + lane)];
+          odd[lane] = x_ext[2 * (k + lane) + 1];
+        }
+        const T* a = approx + (k - k0);
+        const T* d = detail + (k - k0);
+        for (std::size_t t = 0; t < half_taps; ++t) {
+          const std::size_t j = 2 * (k0 - t);
+          const V va = vload<T>(a + t);
+          const V vd = vload<T>(d + t);
+          even += va * f0[j] + vd * f1[j];
+          odd += va * f0[j + 1] + vd * f1[j + 1];
+        }
+        for (std::size_t lane = 0; lane < L; ++lane) {
+          x_ext[2 * (k + lane)] = even[lane];
+          x_ext[2 * (k + lane) + 1] = odd[lane];
+        }
+      }
+      p = 2 * k;
+    }
+    for (; p < outputs; ++p) {
+      synthesis_gather_one(approx, detail, f0, f1, x_ext, half_n, taps, p);
     }
   }
 };
@@ -1172,32 +1162,18 @@ class OpsBackend final : public Backend {
       out[b] = Ops::template norm1<double>(x + b * n, n);
     }
   }
-  // The dwt panel kernels prefer an Ops-level lanes-across-rows variant
-  // when the schedule provides one (kNative does); everything else runs
-  // the single-row kernel per panel row, which is the contract's
-  // reference schedule.
+  // The dwt panel kernels run the single-row kernel per panel row, the
+  // contract's reference schedule, without a virtual call per row.
   template <typename T>
   void dwt_analysis_batch_impl(const T* ext, const T* h0, const T* h1,
                                T* out_a, T* out_d, std::size_t batch,
                                std::size_t half_n, std::size_t taps,
                                std::size_t ext_stride, std::size_t a_stride,
                                std::size_t d_stride) const {
-    if constexpr (requires {
-                    Ops::template dual_band_analysis_batch<T>(
-                        ext, h0, h1, out_a, out_d, batch, half_n, taps,
-                        ext_stride, a_stride, d_stride);
-                  }) {
-      Ops::template dual_band_analysis_batch<T>(ext, h0, h1, out_a, out_d,
-                                                batch, half_n, taps,
-                                                ext_stride, a_stride,
-                                                d_stride);
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) {
-        Ops::template dual_band_analysis<T>(ext + b * ext_stride, h0, h1,
-                                            out_a + b * a_stride,
-                                            out_d + b * d_stride, half_n,
-                                            taps);
-      }
+    for (std::size_t b = 0; b < batch; ++b) {
+      Ops::template dual_band_analysis<T>(ext + b * ext_stride, h0, h1,
+                                          out_a + b * a_stride,
+                                          out_d + b * d_stride, half_n, taps);
     }
   }
   template <typename T>
@@ -1207,21 +1183,11 @@ class OpsBackend final : public Backend {
                                 std::size_t taps, std::size_t a_stride,
                                 std::size_t d_stride,
                                 std::size_t ext_stride) const {
-    if constexpr (requires {
-                    Ops::template dual_band_synthesis_batch<T>(
-                        approx, detail, f0, f1, x_ext, batch, half_n, taps,
-                        a_stride, d_stride, ext_stride);
-                  }) {
-      Ops::template dual_band_synthesis_batch<T>(approx, detail, f0, f1,
-                                                 x_ext, batch, half_n, taps,
-                                                 a_stride, d_stride,
-                                                 ext_stride);
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) {
-        Ops::template dual_band_synthesis<T>(
-            approx + b * a_stride, detail + b * d_stride, f0, f1,
-            x_ext + b * ext_stride, half_n, taps);
-      }
+    for (std::size_t b = 0; b < batch; ++b) {
+      Ops::template dual_band_synthesis<T>(approx + b * a_stride,
+                                           detail + b * d_stride, f0, f1,
+                                           x_ext + b * ext_stride, half_n,
+                                           taps);
     }
   }
   void dwt_analysis_batch(const float* ext, const float* h0, const float* h1,
@@ -1566,7 +1532,7 @@ const Backend& native_backend() {
 
 bool native_simd_available() { return CSECG_HAS_NATIVE_SIMD != 0; }
 
-const Backend& default_backend() { return simd4_backend(); }
+const Backend& default_backend() { return native_backend(); }
 
 const Backend* backend_by_name(std::string_view name) {
   if (name == "reference") {

@@ -282,8 +282,12 @@ const Backend& scalar_backend();
 const Backend& simd4_backend();
 const Backend& native_backend();
 
-/// Library-wide default: the §IV-B NEON schedule model (kSimd4), i.e. the
-/// decoder the paper actually shipped. Tools default to native instead.
+/// Library-wide default: the host's measured-fastest backend, kNative
+/// (which is the reference singleton when native SIMD is compiled out).
+/// Every backend decodes to the same bits on the paths the golden CRC
+/// grid pins; the paper reproductions (the Coordinator's cycle model and
+/// the figure benches) name simd4 or scalar explicitly instead of
+/// relying on this default.
 const Backend& default_backend();
 
 /// True when the kNative implementation was compiled (CSECG_NATIVE_SIMD

@@ -75,7 +75,31 @@ class SparseBinaryMatrix {
     CSECG_CHECK(x.size() == rows_ && y.size() == cols_,
                 "apply_transpose: size mismatch");
     const T scale = static_cast<T>(value_);
-    for (std::size_t c = 0; c < cols_; ++c) {
+    // Four columns per pass: their sums are independent dependency
+    // chains, so interleaving them lets the core overlap the gathers.
+    // Each column still adds its d values in table order.
+    std::size_t c = 0;
+    for (; c + 4 <= cols_; c += 4) {
+      const std::uint16_t* r0 = row_index_.data() + c * d_;
+      const std::uint16_t* r1 = r0 + d_;
+      const std::uint16_t* r2 = r1 + d_;
+      const std::uint16_t* r3 = r2 + d_;
+      T a0{};
+      T a1{};
+      T a2{};
+      T a3{};
+      for (std::size_t k = 0; k < d_; ++k) {
+        a0 += x[r0[k]];
+        a1 += x[r1[k]];
+        a2 += x[r2[k]];
+        a3 += x[r3[k]];
+      }
+      y[c] = a0 * scale;
+      y[c + 1] = a1 * scale;
+      y[c + 2] = a2 * scale;
+      y[c + 3] = a3 * scale;
+    }
+    for (; c < cols_; ++c) {
       const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
       T acc{};
       for (std::size_t k = 0; k < d_; ++k) {
@@ -176,7 +200,28 @@ class SparseBinaryMatrix {
           lanes[r * kLanes + l] = xl[r];
         }
       }
-      for (std::size_t c = 0; c < cols_; ++c) {
+      // Two columns per pass, as in apply_transpose: independent
+      // chains, each still summed in table order.
+      std::size_t c = 0;
+      for (; c + 2 <= cols_; c += 2) {
+        const std::uint16_t* r0 = row_index_.data() + c * d_;
+        const std::uint16_t* r1 = r0 + d_;
+        T acc0[kLanes] = {};
+        T acc1[kLanes] = {};
+        for (std::size_t k = 0; k < d_; ++k) {
+          const T* x0 = lanes.data() + r0[k] * kLanes;
+          const T* x1 = lanes.data() + r1[k] * kLanes;
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            acc0[l] += x0[l];
+            acc1[l] += x1[l];
+          }
+        }
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          y[(b0 + l) * cols_ + c] = acc0[l] * scale;
+          y[(b0 + l) * cols_ + c + 1] = acc1[l] * scale;
+        }
+      }
+      for (; c < cols_; ++c) {
         const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
         T acc[kLanes] = {};
         for (std::size_t k = 0; k < d_; ++k) {

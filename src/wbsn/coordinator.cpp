@@ -3,22 +3,34 @@
 #include <algorithm>
 #include <chrono>
 
+#include "csecg/linalg/backend.hpp"
 #include "csecg/obs/obs.hpp"
 #include "csecg/util/error.hpp"
 
 namespace csecg::wbsn {
 
+namespace {
+
+/// The backend the cycle model prices: the configured one, else the
+/// paper's NEON schedule.
+const linalg::Backend& modelled_backend(const core::DecoderConfig& config) {
+  return config.backend != nullptr ? *config.backend
+                                   : linalg::simd4_backend();
+}
+
+}  // namespace
+
 Coordinator::Coordinator(const core::DecoderConfig& config,
                          coding::HuffmanCodebook codebook,
                          platform::CortexA8Model model)
     : decoder_(config, std::move(codebook)), model_(model) {
-  set_backend(decoder_.backend());
+  set_backend(modelled_backend(config));
 }
 
 Coordinator::Coordinator(const core::StreamProfile& profile,
                          platform::CortexA8Model model)
     : decoder_(profile), model_(model) {
-  set_backend(decoder_.backend());
+  set_backend(modelled_backend(decoder_.config()));
 }
 
 void Coordinator::set_backend(const linalg::Backend& backend) {

@@ -46,10 +46,11 @@ struct CoordinatorStats {
 };
 
 /// The Coordinator always decodes through a CountingBackend wrapped
-/// around the configured kernel backend (config.backend, or the library
-/// default §IV-B simd4 schedule), so every window's op mix feeds the
-/// Cortex-A8 cycle model. Pass a plain backend — wrapping a counting one
-/// would double-charge.
+/// around the configured kernel backend (config.backend, or else the
+/// §IV-B simd4 schedule the paper's iPhone decoder ran — never the
+/// library default, which is a host choice), so every window's op mix
+/// feeds the Cortex-A8 cycle model. Pass a plain backend — wrapping a
+/// counting one would double-charge.
 class Coordinator {
  public:
   using FrameResult = core::Decoder::FrameOutcome;

@@ -47,9 +47,9 @@ struct PipelineConfig {
   ConcealmentStrategy concealment = ConcealmentStrategy::kHoldLast;
   /// Kernel backend for the coordinator's decoder (a plain backend — the
   /// coordinator wraps it in its own counting decorator for the cycle
-  /// model). Null keeps the decoder config's choice (library default for
-  /// profile-driven sessions). Must outlive the pipeline; the
-  /// linalg::*_backend() singletons always do.
+  /// model). Null keeps the decoder config's choice (the simd4 schedule
+  /// when that is null too, as for profile-driven sessions). Must outlive
+  /// the pipeline; the linalg::*_backend() singletons always do.
   const linalg::Backend* backend = nullptr;
   /// Optional observability session. When set it is attached to all three
   /// pipeline threads: stage spans and counters flow into its registry, a

@@ -9,10 +9,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "csecg/core/decoder.hpp"
+#include "csecg/core/encoder.hpp"
 #include "csecg/core/stream_profile.hpp"
 #include "csecg/linalg/backend.hpp"
 #include "csecg/solvers/workspace.hpp"
@@ -496,8 +499,7 @@ TEST(BackendPanelKernels, Norm1BatchMatchesPerRowNorms) {
 }
 
 TEST(BackendPanelKernels, DwtPanelsAreBitwiseRowByRowAcrossStrides) {
-  // 5 rows = one full lane group plus a tail row, so the native
-  // lanes-across-rows synthesis path runs alongside its row-by-row tail.
+  // Five rows: a full four-row lane group plus a tail row.
   const std::size_t batch = 5;
   const std::size_t half_n = 14;  // not a lane multiple
   const std::size_t taps = 8;
@@ -552,6 +554,63 @@ TEST(BackendPanelKernels, DwtPanelsAreBitwiseRowByRowAcrossStrides) {
       }
     }
   }
+}
+
+// The native filter-bank kernels must be the reference loops bit for
+// bit: analysis keeps each output's taps in order inside its vector
+// lanes, and synthesis gathers each output's terms instead of scattering
+// each input's, so it must add the same terms in the same order, on top
+// of whatever x_ext already holds. Covered for every filter length the
+// wavelet families produce and for lengths on both sides of the vector
+// blocks.
+template <typename T>
+void expect_native_filter_bank_is_reference() {
+  for (std::size_t taps = 2; taps <= 20; ++taps) {
+    for (const std::size_t half_n : {1, 2, 3, 4, 5, 17, 256, 257}) {
+      SCOPED_TRACE("taps " + std::to_string(taps) + " half_n " +
+                   std::to_string(half_n));
+      util::Rng rng(5000 + 31 * taps + half_n);
+      std::vector<T> a(half_n), d(half_n), f0(taps), f1(taps);
+      for (auto* v : {&a, &d, &f0, &f1}) {
+        for (auto& e : *v) {
+          e = static_cast<T>(rng.gaussian());
+        }
+      }
+      std::vector<T> want(2 * half_n + taps - 1);
+      for (auto& e : want) {
+        e = static_cast<T>(rng.gaussian());
+      }
+      std::vector<T> want_a(half_n), want_d(half_n);
+      std::vector<T> got_a(half_n), got_d(half_n);
+      reference_backend().dual_band_analysis(want.data(), f0.data(),
+                                             f1.data(), want_a.data(),
+                                             want_d.data(), half_n, taps);
+      native_backend().dual_band_analysis(want.data(), f0.data(), f1.data(),
+                                          got_a.data(), got_d.data(), half_n,
+                                          taps);
+      ASSERT_EQ(std::memcmp(got_a.data(), want_a.data(), half_n * sizeof(T)),
+                0);
+      ASSERT_EQ(std::memcmp(got_d.data(), want_d.data(), half_n * sizeof(T)),
+                0);
+      std::vector<T> got(want);
+      reference_backend().dual_band_synthesis(a.data(), d.data(), f0.data(),
+                                              f1.data(), want.data(), half_n,
+                                              taps);
+      native_backend().dual_band_synthesis(a.data(), d.data(), f0.data(),
+                                           f1.data(), got.data(), half_n,
+                                           taps);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(T)),
+                0);
+    }
+  }
+}
+
+TEST(BackendDwtKernels, NativeFilterBankIsBitwiseReferenceFloat) {
+  expect_native_filter_bank_is_reference<float>();
+}
+
+TEST(BackendDwtKernels, NativeFilterBankIsBitwiseReferenceDouble) {
+  expect_native_filter_bank_is_reference<double>();
 }
 
 TEST(BackendPanelKernels, BatchOfOneDegeneratesToVectorKernels) {
@@ -1076,6 +1135,114 @@ TEST(DecoderBackend, NativeBackendReconstructsLikeReference) {
   }
   EXPECT_NEAR(wn.residual_norm, wr.residual_norm,
               1e-3 * (1.0 + wr.residual_norm));
+}
+
+// ------------------------------------------------------ golden CRC grid --
+
+// CRC-32 (IEEE 802.3, reflected) over raw bytes.
+std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+// Four ECG-like windows built from integer arithmetic only (no libm), so
+// the measurements — and therefore the decode — are the same on every
+// host: a slow triangular baseline, a tall narrow QRS-like spike and a
+// broad T-like bump per beat, plus xorshift noise.
+std::vector<std::int16_t> integer_ecg(std::size_t windows, std::size_t n) {
+  std::vector<std::int16_t> x(windows * n);
+  std::uint32_t state = 0x1234567u;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    state ^= state << 13;
+    state ^= state >> 17;
+    state ^= state << 5;
+    const int phase = static_cast<int>(t % 203);
+    const int drift = static_cast<int>(t % 1024);
+    int v = (drift < 512 ? drift : 1024 - drift) / 8;
+    const int qrs = phase - 60;
+    if (qrs > -6 && qrs < 6) {
+      v += 900 - 150 * (qrs < 0 ? -qrs : qrs);
+    }
+    const int tw = phase - 130;
+    if (tw > -20 && tw < 20) {
+      v += 120 - 6 * (tw < 0 ? -tw : tw);
+    }
+    v += static_cast<int>(state % 31u) - 15;
+    x[t] = static_cast<std::int16_t>(v);
+  }
+  return x;
+}
+
+// CRC of every decoded sample (float bit patterns) and iteration count of
+// four windows, decoded one by one (batch 1) or as one panel (batch 4).
+std::uint32_t decode_crc(double cr, const Backend& backend,
+                         std::size_t batch) {
+  core::Decoder decoder(core::profile_for_cr(cr));
+  decoder.set_backend(backend);
+  constexpr std::size_t kWindows = 4;
+  const std::size_t n = decoder.config().cs.window;
+  const std::size_t m = decoder.config().cs.measurements;
+  const auto x = integer_ecg(kWindows, n);
+  std::vector<std::int32_t> y(kWindows * m);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    core::project_window_q15(
+        decoder.sensing().sparse(),
+        core::q15_inverse_sqrt(decoder.config().cs.d),
+        std::span<const std::int16_t>(x.data() + w * n, n),
+        std::span<std::int32_t>(y.data() + w * m, m));
+  }
+  solvers::SolverWorkspace workspace;
+  std::vector<core::DecodedWindow<float>> out(kWindows);
+  for (std::size_t w = 0; w < kWindows; w += batch) {
+    decoder.reconstruct_batch_into<float>(
+        std::span<const std::int32_t>(y.data() + w * m, batch * m), batch,
+        workspace, std::span<core::DecodedWindow<float>>(out.data() + w,
+                                                        batch));
+  }
+  std::uint32_t crc = 0;
+  for (const auto& window : out) {
+    crc = crc32(window.samples.data(), window.samples.size() * sizeof(float),
+                crc);
+    const auto iterations = static_cast<std::uint32_t>(window.iterations);
+    crc = crc32(&iterations, sizeof(iterations), crc);
+  }
+  return crc;
+}
+
+// Determinism pin for the whole decode: CR 30/50/70 x every backend x
+// batch 1 and 4. A kernel or transform change that moves a single output
+// bit moves these. With native SIMD compiled out, 'native' is the
+// reference singleton and must reproduce the reference column.
+TEST(DecoderGoldens, DecodedWindowCrcGrid) {
+  struct Row {
+    double cr;
+    std::uint32_t crc[4];  // reference, scalar, simd4, native
+  };
+  const Row rows[] = {
+      {30.0, {0xbb753c0du, 0xbb753c0du, 0xbb753c0du, 0xbb753c0du}},
+      {50.0, {0x00f18ffdu, 0x00f18ffdu, 0x00f18ffdu, 0x00f18ffdu}},
+      {70.0, {0x6c3d78f3u, 0x6c3d78f3u, 0x6c3d78f3u, 0x6c3d78f3u}},
+  };
+  const auto backends = all_backends();
+  for (const Row& row : rows) {
+    for (std::size_t k = 0; k < backends.size(); ++k) {
+      const std::size_t column =
+          (k == 3 && !native_simd_available()) ? 0 : k;
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+        const std::uint32_t crc = decode_crc(row.cr, *backends[k], batch);
+        EXPECT_EQ(crc, row.crc[column])
+            << "CR " << row.cr << " " << backends[k]->name() << " batch "
+            << batch << std::hex << " crc 0x" << crc;
+      }
+    }
+  }
 }
 
 TEST(DecoderBackend, SetBackendRewiresEverything) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <string>
 
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/dsp/fir.hpp"
@@ -351,6 +354,133 @@ TEST(DwtTest, FloatMatchesDoubleClosely) {
     ASSERT_NEAR(static_cast<float>(cd[i]), cf[i], 2e-4f);
   }
 }
+
+// The straightforward multi-level filter bank the transform's buffer plan
+// must reproduce bit for bit: a fresh modulo periodic extension per
+// analysis level, and per synthesis level a zeroed extension buffer whose
+// tail is folded into a copy of its head.
+template <typename T>
+void oracle_forward(const Wavelet& w, int levels, const std::vector<T>& x,
+                    std::vector<T>& coeffs, const linalg::Backend& backend) {
+  const std::vector<T> h(w.analysis_lowpass().begin(),
+                         w.analysis_lowpass().end());
+  const std::vector<T> g(w.analysis_highpass().begin(),
+                         w.analysis_highpass().end());
+  const std::size_t taps = w.length();
+  std::vector<T> approx(x);
+  std::size_t n = x.size();
+  for (int level = 0; level < levels; ++level) {
+    const std::size_t half = n / 2;
+    std::vector<T> ext(n + taps - 1);
+    for (std::size_t i = 0; i < ext.size(); ++i) {
+      ext[i] = approx[i % n];
+    }
+    std::vector<T> next(half);
+    backend.dual_band_analysis(ext.data(), h.data(), g.data(), next.data(),
+                               coeffs.data() + half, half, taps);
+    approx = next;
+    n = half;
+  }
+  std::copy(approx.begin(), approx.end(), coeffs.begin());
+}
+
+template <typename T>
+void oracle_inverse(const Wavelet& w, int levels, const std::vector<T>& coeffs,
+                    std::vector<T>& x, const linalg::Backend& backend) {
+  const std::vector<T> h(w.analysis_lowpass().begin(),
+                         w.analysis_lowpass().end());
+  const std::vector<T> g(w.analysis_highpass().begin(),
+                         w.analysis_highpass().end());
+  const std::size_t taps = w.length();
+  std::size_t half = coeffs.size() >> levels;
+  std::vector<T> approx(coeffs.begin(),
+                        coeffs.begin() + static_cast<std::ptrdiff_t>(half));
+  for (int level = 0; level < levels; ++level) {
+    const std::size_t n = 2 * half;
+    std::vector<T> x_ext(n + taps - 1, T{});
+    backend.dual_band_synthesis(approx.data(), coeffs.data() + half, h.data(),
+                                g.data(), x_ext.data(), half, taps);
+    std::vector<T> next(x_ext.begin(),
+                        x_ext.begin() + static_cast<std::ptrdiff_t>(n));
+    for (std::size_t i = n; i < x_ext.size(); ++i) {
+      next[i % n] += x_ext[i];
+    }
+    approx = next;
+    half = n;
+  }
+  x = approx;
+}
+
+template <typename T>
+bool same_bits(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+template <typename T>
+void expect_transform_matches_oracle(const DwtCase& param) {
+  const Wavelet w = Wavelet::from_name(param.wavelet);
+  const WaveletTransform wt(w, param.length, param.levels);
+  constexpr std::size_t kBatch = 5;  // one 4-row panel group plus a tail
+  const std::size_t n = param.length;
+  std::vector<T> x(kBatch * n);
+  util::Rng rng(700 + n);
+  for (auto& v : x) {
+    v = static_cast<T>(rng.gaussian());
+  }
+  for (const linalg::Backend* be :
+       {&linalg::reference_backend(), &linalg::scalar_backend(),
+        &linalg::simd4_backend(), &linalg::native_backend()}) {
+    SCOPED_TRACE(std::string(be->name()) + " " + param.wavelet);
+    std::vector<T> fwd(kBatch * n);
+    std::vector<T> inv(kBatch * n);
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      const std::vector<T> row(x.begin() + static_cast<std::ptrdiff_t>(b * n),
+                               x.begin() +
+                                   static_cast<std::ptrdiff_t>((b + 1) * n));
+      std::vector<T> want_fwd(n);
+      std::vector<T> want_inv(n);
+      oracle_forward(w, param.levels, row, want_fwd, *be);
+      oracle_inverse(w, param.levels, row, want_inv, *be);
+      std::vector<T> got(n);
+      wt.forward<T>(row, got, *be);
+      ASSERT_TRUE(same_bits(got.data(), want_fwd.data(), n)) << "forward " << b;
+      wt.inverse<T>(row, got, *be);
+      ASSERT_TRUE(same_bits(got.data(), want_inv.data(), n)) << "inverse " << b;
+      std::copy(want_fwd.begin(), want_fwd.end(),
+                fwd.begin() + static_cast<std::ptrdiff_t>(b * n));
+      std::copy(want_inv.begin(), want_inv.end(),
+                inv.begin() + static_cast<std::ptrdiff_t>(b * n));
+    }
+    std::vector<T> got(kBatch * n);
+    wt.forward_batch<T>(x, got, kBatch, *be);
+    ASSERT_TRUE(same_bits(got.data(), fwd.data(), kBatch * n))
+        << "forward_batch";
+    wt.inverse_batch<T>(x, got, kBatch, *be);
+    ASSERT_TRUE(same_bits(got.data(), inv.data(), kBatch * n))
+        << "inverse_batch";
+  }
+}
+
+class DwtOracleTest : public ::testing::TestWithParam<DwtCase> {};
+
+TEST_P(DwtOracleTest, FloatTransformsAreBitwiseTheOracle) {
+  expect_transform_matches_oracle<float>(GetParam());
+}
+
+TEST_P(DwtOracleTest, DoubleTransformsAreBitwiseTheOracle) {
+  expect_transform_matches_oracle<double>(GetParam());
+}
+
+// The deep cases run a coarsest level whose input is shorter than
+// taps - 1 (db4 64/5 ends at n = 4 < 7, sym8 128/5 at n = 8 < 15, db10
+// 64/3 at n = 16 < 19), so the periodic wrap covers the signal more than
+// once.
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DwtOracleTest,
+    ::testing::Values(DwtCase{"haar", 64, 3}, DwtCase{"haar", 512, 5},
+                      DwtCase{"db4", 512, 5}, DwtCase{"db4", 64, 5},
+                      DwtCase{"sym8", 256, 3}, DwtCase{"sym8", 128, 5},
+                      DwtCase{"db10", 512, 4}, DwtCase{"db10", 64, 3}));
 
 // ------------------------------------------------------------------ fir --
 

@@ -243,56 +243,64 @@ void register_kernels() {
         });
   }
 
-  // Phi and Phi^T of the CR-50 frame (M 256, N 512, d 12). The sparse
-  // projection is gather/scatter over its index table and runs no
-  // backend kernel, so it has one row rather than one per backend.
-  benchmark::RegisterBenchmark(
-      "sparse_apply/256x512", [](benchmark::State& state) {
-        util::Rng rng(40);
-        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
-        const auto x = random_vector(512, 41);
-        std::vector<float> y(256);
-        for (auto _ : state) {
-          phi.apply<float>(x, y);
-          benchmark::DoNotOptimize(y.data());
-        }
-      });
-  benchmark::RegisterBenchmark(
-      "sparse_apply_transpose/256x512", [](benchmark::State& state) {
-        util::Rng rng(40);
-        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
-        const auto y = random_vector(256, 42);
-        std::vector<float> x(512);
-        for (auto _ : state) {
-          phi.apply_transpose<float>(y, x);
-          benchmark::DoNotOptimize(x.data());
-        }
-      });
-
-  // The same pair over a 4-row panel (one lane group), per call: divide
-  // by 4 for the per-row cost the panel claims in DESIGN.md §4i.
-  benchmark::RegisterBenchmark(
-      "sparse_apply_batch/4x256x512", [](benchmark::State& state) {
-        util::Rng rng(40);
-        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
-        const auto x = random_vector(4 * 512, 43);
-        std::vector<float> y(4 * 256);
-        for (auto _ : state) {
-          phi.apply_batch<float>(x, y, 4);
-          benchmark::DoNotOptimize(y.data());
-        }
-      });
-  benchmark::RegisterBenchmark(
-      "sparse_apply_transpose_batch/4x256x512", [](benchmark::State& state) {
-        util::Rng rng(40);
-        const linalg::SparseBinaryMatrix phi(256, 512, 12, rng);
-        const auto y = random_vector(4 * 256, 44);
-        std::vector<float> x(4 * 512);
-        for (auto _ : state) {
-          phi.apply_transpose_batch<float>(y, x, 4);
-          benchmark::DoNotOptimize(x.data());
-        }
-      });
+  // Phi and Phi^T of the CR 30/50/70 frames (M 358/256/154, N 512,
+  // d 12), single row and over a 4-row panel (one lane group, per call:
+  // divide by 4 for the per-row cost the panel claims in DESIGN.md §4i).
+  // The sparse projection is a gather over its index tables and runs no
+  // backend kernel, so each shape has one row rather than one per
+  // backend.
+  for (const std::size_t m : {std::size_t{358}, std::size_t{256},
+                              std::size_t{154}}) {
+    const std::string shape = std::to_string(m) + "x512";
+    const auto phi_for = [m] {
+      util::Rng rng(40);
+      return linalg::SparseBinaryMatrix(m, 512, 12, rng);
+    };
+    benchmark::RegisterBenchmark(
+        ("sparse_apply/" + shape).c_str(),
+        [m, phi_for](benchmark::State& state) {
+          const auto phi = phi_for();
+          const auto x = random_vector(512, 41);
+          std::vector<float> y(m);
+          for (auto _ : state) {
+            phi.apply<float>(x, y);
+            benchmark::DoNotOptimize(y.data());
+          }
+        });
+    benchmark::RegisterBenchmark(
+        ("sparse_apply_transpose/" + shape).c_str(),
+        [m, phi_for](benchmark::State& state) {
+          const auto phi = phi_for();
+          const auto y = random_vector(m, 42);
+          std::vector<float> x(512);
+          for (auto _ : state) {
+            phi.apply_transpose<float>(y, x);
+            benchmark::DoNotOptimize(x.data());
+          }
+        });
+    benchmark::RegisterBenchmark(
+        ("sparse_apply_batch/4x" + shape).c_str(),
+        [m, phi_for](benchmark::State& state) {
+          const auto phi = phi_for();
+          const auto x = random_vector(4 * 512, 43);
+          std::vector<float> y(4 * m);
+          for (auto _ : state) {
+            phi.apply_batch<float>(x, y, 4);
+            benchmark::DoNotOptimize(y.data());
+          }
+        });
+    benchmark::RegisterBenchmark(
+        ("sparse_apply_transpose_batch/4x" + shape).c_str(),
+        [m, phi_for](benchmark::State& state) {
+          const auto phi = phi_for();
+          const auto y = random_vector(4 * m, 44);
+          std::vector<float> x(4 * 512);
+          for (auto _ : state) {
+            phi.apply_transpose_batch<float>(y, x, 4);
+            benchmark::DoNotOptimize(x.data());
+          }
+        });
+  }
 
   // The gateway ingest hot path in miniature: CRC a frame-sized buffer,
   // then (ON builds only) append one structured event to the flight

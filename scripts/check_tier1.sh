@@ -9,6 +9,10 @@
 # extension backend so the 'native' name degrades to the reference loops;
 # CI runs a second tier-1 pass this way to keep the fallback green.
 #
+# Warnings are errors in every leg. -Werror is passed here rather than
+# set in the CMake files, so other builds of src/ (the perfbench tree,
+# a user's own configure) keep warnings as warnings.
+#
 # Usage: scripts/check_tier1.sh [build-dir-prefix]
 set -euo pipefail
 
@@ -25,6 +29,7 @@ for obs in ON OFF; do
        "(${build_dir}) =="
   cmake -S "${repo_root}" -B "${build_dir}" \
     -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="${CXXFLAGS:-} -Werror" \
     -DCSECG_OBS="${obs}" \
     -DCSECG_NATIVE_SIMD="${native_simd}" \
     -DCSECG_BUILD_BENCHMARKS=OFF \

@@ -22,7 +22,10 @@ template <typename T>
 class CsOperator final : public linalg::LinearOperator<T> {
  public:
   /// All three references must outlive the operator (the shared backend
-  /// singletons always do).
+  /// singletons always do). The operator's scratch makes it serve one
+  /// thread at a time; the sparse Phi behind \p phi is one immutable
+  /// instance shared by every SensingMatrix of the same profile, which
+  /// other threads' operators may apply concurrently.
   CsOperator(const SensingMatrix& phi, const dsp::WaveletTransform& psi,
              const linalg::Backend& backend = linalg::default_backend());
 
@@ -33,8 +36,8 @@ class CsOperator final : public linalg::LinearOperator<T> {
   void apply_adjoint(std::span<const T> r, std::span<T> alpha) const override;
 
   /// Panel forward model: each leg (inverse DWT, sparse projection) runs
-  /// once over the whole panel, so Phi's index table and Psi's filter
-  /// levels are traversed once per batch instead of once per row. Bitwise
+  /// once over the whole panel, so Phi's index tables are traversed once
+  /// per group of SparseBinaryMatrix::kLanes rows, not once per row. Bitwise
   /// identical per row to apply()/apply_adjoint(); the sparse charge is
   /// batch x the per-row mix.
   void apply_batch(std::span<const T> alpha_flat, std::span<T> y_flat,

@@ -71,7 +71,14 @@ class SensingMatrix {
                              std::size_t batch) const;
 
   /// Sparse-binary integer path for the mote (throws for dense designs).
+  /// Every sparse SensingMatrix with the same rows, cols, d and 16-bit
+  /// seed refers to one shared, immutable instance.
   const linalg::SparseBinaryMatrix& sparse() const;
+  /// The owning handle of that shared instance (null for dense designs).
+  const std::shared_ptr<const linalg::SparseBinaryMatrix>& shared_sparse()
+      const {
+    return sparse_;
+  }
   bool is_sparse() const { return sparse_ != nullptr; }
 
   /// On-mote storage of the matrix representation in bytes: the index
@@ -80,7 +87,9 @@ class SensingMatrix {
 
  private:
   SensingMatrixConfig config_;
-  std::unique_ptr<linalg::SparseBinaryMatrix> sparse_;
+  // Shared with every other SensingMatrix of the same (rows, cols, d,
+  // 16-bit seed); immutable, so concurrent applies are safe.
+  std::shared_ptr<const linalg::SparseBinaryMatrix> sparse_;
   std::unique_ptr<linalg::DenseMatrix<double>> dense_d_;
   std::unique_ptr<linalg::DenseMatrix<float>> dense_f_;
 };

@@ -1,6 +1,9 @@
 #include "csecg/core/sensing_matrix.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "csecg/core/mote_rng.hpp"
 #include "csecg/util/error.hpp"
@@ -20,6 +23,37 @@ std::string to_string(SensingMatrixType type) {
   return "unknown";
 }
 
+namespace {
+
+/// The one live Phi for (rows, cols, d, seed) — exactly the arguments of
+/// generate_sparse_indices, so equal keys are bit-identical matrices.
+/// Entries are weak: the decoders and encoders holding a matrix keep it
+/// alive, the registry never does; expired entries are pruned whenever a
+/// new one is inserted. SparseBinaryMatrix is immutable after
+/// construction, so sharing it across threads needs no further locking.
+std::shared_ptr<const linalg::SparseBinaryMatrix> intern_sparse(
+    std::size_t rows, std::size_t cols, std::size_t d, std::uint16_t seed) {
+  using Key = std::tuple<std::size_t, std::size_t, std::size_t, std::uint16_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::weak_ptr<const linalg::SparseBinaryMatrix>>
+      registry;
+  const Key key{rows, cols, d, seed};
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (const auto it = registry.find(key); it != registry.end()) {
+    if (auto live = it->second.lock()) {
+      return live;
+    }
+  }
+  auto made = std::make_shared<const linalg::SparseBinaryMatrix>(
+      rows, cols, d, generate_sparse_indices(rows, cols, d, seed));
+  std::erase_if(registry,
+                [](const auto& entry) { return entry.second.expired(); });
+  registry[key] = made;
+  return made;
+}
+
+}  // namespace
+
 SensingMatrix::SensingMatrix(const SensingMatrixConfig& config)
     : config_(config) {
   CSECG_CHECK(config.rows > 0 && config.cols > 0,
@@ -30,11 +64,9 @@ SensingMatrix::SensingMatrix(const SensingMatrixConfig& config)
   switch (config.type) {
     case SensingMatrixType::kSparseBinary: {
       // Materialise the same matrix the mote regenerates on the fly from
-      // the shared 16-bit seed (see mote_rng.hpp).
-      sparse_ = std::make_unique<linalg::SparseBinaryMatrix>(
-          config.rows, config.cols, config.d,
-          generate_sparse_indices(config.rows, config.cols, config.d,
-                                  static_cast<std::uint16_t>(config.seed)));
+      // the shared 16-bit seed (see mote_rng.hpp), once per process.
+      sparse_ = intern_sparse(config.rows, config.cols, config.d,
+                              static_cast<std::uint16_t>(config.seed));
       break;
     }
     case SensingMatrixType::kGaussian: {

@@ -9,12 +9,21 @@
 /// Only the d row indices per column are stored (N*d small integers), so a
 /// 256x512, d = 12 matrix fits in ~6 kB — this is what makes CS sampling
 /// feasible inside the MSP430's 10 kB of RAM. The projection y = Phi*x is
-/// d*N integer additions (plus one global scale), no multiplications.
+/// d*N integer additions (plus one global scale), no multiplications; the
+/// mote runs it as a column scatter (accumulate_integer).
+///
+/// The host also keeps the same non-zeros row-major (row starts plus the
+/// column indices of each row, ascending), so the float Phi x is a gather
+/// whose every output adds its columns in the order the scatter reaches
+/// that row: bitwise the scatter. Both tables are built by the
+/// constructor and nothing is written afterwards, so one instance can
+/// serve any number of threads at once; core::SensingMatrix shares one
+/// instance per distinct (rows, cols, d, seed).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "csecg/util/error.hpp"
@@ -49,23 +58,47 @@ class SparseBinaryMatrix {
   }
 
   /// y = Phi x (floating point path, used on the coordinator side).
+  /// A gather over the row table, four rows per pass as independent
+  /// chains. Each row adds its columns in ascending order starting from
+  /// zero and is scaled once — the same per-row sequence of adds the
+  /// column scatter produces — so the result is bitwise the scatter's.
   template <typename T>
   void apply(std::span<const T> x, std::span<T> y) const {
     CSECG_CHECK(x.size() == cols_ && y.size() == rows_,
                 "apply: size mismatch");
-    for (auto& v : y) {
-      v = T{};
-    }
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const T xc = x[c];
-      const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-      for (std::size_t k = 0; k < d_; ++k) {
-        y[rows_ptr[k]] += xc;
-      }
-    }
     const T scale = static_cast<T>(value_);
-    for (auto& v : y) {
-      v *= scale;
+    const T* xs = x.data();
+    const std::uint16_t* cols = col_index_.data();
+    std::size_t r = 0;
+    for (; r + 4 <= rows_; r += 4) {
+      const std::uint32_t* s = row_start_.data() + r;
+      const std::uint16_t* c0 = cols + s[0];
+      const std::uint16_t* c1 = cols + s[1];
+      const std::uint16_t* c2 = cols + s[2];
+      const std::uint16_t* c3 = cols + s[3];
+      const std::size_t n0 = s[1] - s[0];
+      const std::size_t n1 = s[2] - s[1];
+      const std::size_t n2 = s[3] - s[2];
+      const std::size_t n3 = s[4] - s[3];
+      const std::size_t common = std::min({n0, n1, n2, n3});
+      T a0{};
+      T a1{};
+      T a2{};
+      T a3{};
+      for (std::size_t k = 0; k < common; ++k) {
+        a0 += xs[c0[k]];
+        a1 += xs[c1[k]];
+        a2 += xs[c2[k]];
+        a3 += xs[c3[k]];
+      }
+      y[r] = add_columns(a0, xs, c0, common, n0) * scale;
+      y[r + 1] = add_columns(a1, xs, c1, common, n1) * scale;
+      y[r + 2] = add_columns(a2, xs, c2, common, n2) * scale;
+      y[r + 3] = add_columns(a3, xs, c3, common, n3) * scale;
+    }
+    for (; r < rows_; ++r) {
+      const std::uint32_t* s = row_start_.data() + r;
+      y[r] = add_columns(T{}, xs, cols + s[0], 0, s[1] - s[0]) * scale;
     }
   }
 
@@ -110,156 +143,66 @@ class SparseBinaryMatrix {
   }
 
   /// Panel projection: y_row_b = Phi x_row_b for `batch` packed rows.
-  /// Lane groups run on an interleaved scratch panel — the scatter
-  /// target for row index r holds the group's rows contiguously, so
-  /// every "y[r] += x[c]" of the scalar loop becomes one group-wide add
-  /// and the index table (the expensive stream: cols*d random row
-  /// positions) is read once per group instead of once per row. Each
-  /// lane replays exactly the scalar per-row schedule (columns
-  /// ascending, the d adds in table order, one final scale), so results
-  /// are bitwise equal to the row-by-row loop. Full kLanes-wide groups
-  /// take the fixed-width fast path; a partial tail group of 2+ rows
-  /// (e.g. a 3-lead group) runs the same schedule at its own width, so
-  /// it still costs one traversal; a 1-row tail is plain apply().
+  /// Groups of kLanes rows share one traversal of the row table: each
+  /// matrix row keeps one accumulator per lane and reads lane l straight
+  /// from row l of the x panel. Every lane adds its columns in the
+  /// single-row order, so results are bitwise equal to apply() row by
+  /// row. A 2- or 3-row tail group (e.g. a 3-lead group) runs the same
+  /// schedule at its own width; a 1-row tail is plain apply().
   template <typename T>
   void apply_batch(std::span<const T> x, std::span<T> y,
                    std::size_t batch) const {
     CSECG_CHECK(x.size() == batch * cols_ && y.size() == batch * rows_,
                 "apply_batch: size mismatch");
-    const T scale = static_cast<T>(value_);
-    std::vector<T>& lanes = lane_scratch<T>();
     std::size_t b0 = 0;
     for (; b0 + kLanes <= batch; b0 += kLanes) {
-      lanes.assign(rows_ * kLanes, T{});
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T xc[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          xc[l] = x[(b0 + l) * cols_ + c];
-        }
-        for (std::size_t k = 0; k < d_; ++k) {
-          T* yr = lanes.data() + rows_ptr[k] * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            yr[l] += xc[l];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        T* yl = y.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          yl[r] = lanes[r * kLanes + l] * scale;
-        }
-      }
+      apply_group<kLanes>(x.data() + b0 * cols_, y.data() + b0 * rows_);
     }
-    const std::size_t rem = batch - b0;
-    if (rem == 1) {
-      apply(x.subspan(b0 * cols_, cols_), y.subspan(b0 * rows_, rows_));
-    } else if (rem > 1) {
-      lanes.assign(rows_ * rem, T{});
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T xc[kLanes];
-        for (std::size_t l = 0; l < rem; ++l) {
-          xc[l] = x[(b0 + l) * cols_ + c];
-        }
-        for (std::size_t k = 0; k < d_; ++k) {
-          T* yr = lanes.data() + rows_ptr[k] * rem;
-          for (std::size_t l = 0; l < rem; ++l) {
-            yr[l] += xc[l];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < rem; ++l) {
-        T* yl = y.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          yl[r] = lanes[r * rem + l] * scale;
-        }
-      }
+    switch (batch - b0) {
+      case 1:
+        apply(x.subspan(b0 * cols_, cols_), y.subspan(b0 * rows_, rows_));
+        break;
+      case 2:
+        apply_group<2>(x.data() + b0 * cols_, y.data() + b0 * rows_);
+        break;
+      case 3:
+        apply_group<3>(x.data() + b0 * cols_, y.data() + b0 * rows_);
+        break;
+      default:
+        break;
     }
   }
 
-  /// Panel back-projection: y_row_b = Phi^T x_row_b, same single-traversal
-  /// and bitwise contracts as apply_batch: lane groups interleave x so
-  /// each gather of d measurement values loads the group's rows at once
-  /// and every accumulation is a group-wide add, with per-lane summation
-  /// order identical to apply_transpose(). Partial tail groups of 2+
-  /// rows run the interleaved schedule at their own width.
+  /// Panel back-projection: y_row_b = Phi^T x_row_b, with the same
+  /// grouping and bitwise contract as apply_batch: each group reads the
+  /// column table once, lane l gathers straight from row l of the x
+  /// panel, and every lane sums each column in table order as
+  /// apply_transpose() does.
   template <typename T>
   void apply_transpose_batch(std::span<const T> x, std::span<T> y,
                              std::size_t batch) const {
     CSECG_CHECK(x.size() == batch * rows_ && y.size() == batch * cols_,
                 "apply_transpose_batch: size mismatch");
-    const T scale = static_cast<T>(value_);
-    std::vector<T>& lanes = lane_scratch<T>();
     std::size_t b0 = 0;
     for (; b0 + kLanes <= batch; b0 += kLanes) {
-      lanes.resize(rows_ * kLanes);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const T* xl = x.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          lanes[r * kLanes + l] = xl[r];
-        }
-      }
-      // Two columns per pass, as in apply_transpose: independent
-      // chains, each still summed in table order.
-      std::size_t c = 0;
-      for (; c + 2 <= cols_; c += 2) {
-        const std::uint16_t* r0 = row_index_.data() + c * d_;
-        const std::uint16_t* r1 = r0 + d_;
-        T acc0[kLanes] = {};
-        T acc1[kLanes] = {};
-        for (std::size_t k = 0; k < d_; ++k) {
-          const T* x0 = lanes.data() + r0[k] * kLanes;
-          const T* x1 = lanes.data() + r1[k] * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc0[l] += x0[l];
-            acc1[l] += x1[l];
-          }
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          y[(b0 + l) * cols_ + c] = acc0[l] * scale;
-          y[(b0 + l) * cols_ + c + 1] = acc1[l] * scale;
-        }
-      }
-      for (; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T acc[kLanes] = {};
-        for (std::size_t k = 0; k < d_; ++k) {
-          const T* xr = lanes.data() + rows_ptr[k] * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc[l] += xr[l];
-          }
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          y[(b0 + l) * cols_ + c] = acc[l] * scale;
-        }
-      }
+      apply_transpose_group<kLanes>(x.data() + b0 * rows_,
+                                    y.data() + b0 * cols_);
     }
-    const std::size_t rem = batch - b0;
-    if (rem == 1) {
-      apply_transpose(x.subspan(b0 * rows_, rows_),
-                      y.subspan(b0 * cols_, cols_));
-    } else if (rem > 1) {
-      lanes.resize(rows_ * rem);
-      for (std::size_t l = 0; l < rem; ++l) {
-        const T* xl = x.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          lanes[r * rem + l] = xl[r];
-        }
-      }
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T acc[kLanes] = {};
-        for (std::size_t k = 0; k < d_; ++k) {
-          const T* xr = lanes.data() + rows_ptr[k] * rem;
-          for (std::size_t l = 0; l < rem; ++l) {
-            acc[l] += xr[l];
-          }
-        }
-        for (std::size_t l = 0; l < rem; ++l) {
-          y[(b0 + l) * cols_ + c] = acc[l] * scale;
-        }
-      }
+    switch (batch - b0) {
+      case 1:
+        apply_transpose(x.subspan(b0 * rows_, rows_),
+                        y.subspan(b0 * cols_, cols_));
+        break;
+      case 2:
+        apply_transpose_group<2>(x.data() + b0 * rows_,
+                                 y.data() + b0 * cols_);
+        break;
+      case 3:
+        apply_transpose_group<3>(x.data() + b0 * rows_,
+                                 y.data() + b0 * cols_);
+        break;
+      default:
+        break;
     }
   }
 
@@ -280,21 +223,82 @@ class SparseBinaryMatrix {
   /// a quick incoherence diagnostic used by tests.
   double average_column_overlap() const;
 
-  /// Panel lane width: one lane per batch row, sized so a group's
-  /// interleaved accumulators match the 4-wide vector units the native
-  /// backend targets (and auto-vectorise as fixed-count contiguous loops
-  /// everywhere else). Public so the §IV-B cycle model can price the
-  /// index-table stream per lane group: a panel apply of `batch` rows
-  /// reads the cols*d table ceil(batch / kLanes) times, not batch times.
+  /// Panel lane width: the batch rows that share one traversal of an
+  /// index table in apply_batch / apply_transpose_batch. Public so the
+  /// §IV-B cycle model can price the index-table stream per lane group:
+  /// a panel apply of `batch` rows reads the cols*d table
+  /// ceil(batch / kLanes) times, not batch times.
   static constexpr std::size_t kLanes = 4;
 
  private:
+  static_assert(kLanes == 4, "the panel tails dispatch widths 1, 2 and 3");
+
+  /// Builds the row-major table from the column table.
+  void build_row_table();
+
+  /// acc + x[cols[from]] + ... + x[cols[to - 1]], left to right.
   template <typename T>
-  std::vector<T>& lane_scratch() const {
-    if constexpr (std::is_same_v<T, float>) {
-      return lane_scratch_f_;
-    } else {
-      return lane_scratch_d_;
+  static T add_columns(T acc, const T* x, const std::uint16_t* cols,
+                       std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      acc += x[cols[k]];
+    }
+    return acc;
+  }
+
+  /// Phi over W packed rows of x (W * cols_) into W packed rows of y.
+  template <std::size_t W, typename T>
+  void apply_group(const T* x, T* y) const {
+    const T scale = static_cast<T>(value_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const std::uint16_t* cols = col_index_.data() + row_start_[r];
+      const std::size_t n = row_start_[r + 1] - row_start_[r];
+      T acc[W] = {};
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t c = cols[k];
+        for (std::size_t l = 0; l < W; ++l) {
+          acc[l] += x[l * cols_ + c];
+        }
+      }
+      for (std::size_t l = 0; l < W; ++l) {
+        y[l * rows_ + r] = acc[l] * scale;
+      }
+    }
+  }
+
+  /// Phi^T over W packed rows of x (W * rows_) into W packed rows of y;
+  /// two columns per pass as independent chains.
+  template <std::size_t W, typename T>
+  void apply_transpose_group(const T* x, T* y) const {
+    const T scale = static_cast<T>(value_);
+    std::size_t c = 0;
+    for (; c + 2 <= cols_; c += 2) {
+      const std::uint16_t* r0 = row_index_.data() + c * d_;
+      const std::uint16_t* r1 = r0 + d_;
+      T acc0[W] = {};
+      T acc1[W] = {};
+      for (std::size_t k = 0; k < d_; ++k) {
+        for (std::size_t l = 0; l < W; ++l) {
+          acc0[l] += x[l * rows_ + r0[k]];
+          acc1[l] += x[l * rows_ + r1[k]];
+        }
+      }
+      for (std::size_t l = 0; l < W; ++l) {
+        y[l * cols_ + c] = acc0[l] * scale;
+        y[l * cols_ + c + 1] = acc1[l] * scale;
+      }
+    }
+    if (c < cols_) {
+      const std::uint16_t* r0 = row_index_.data() + c * d_;
+      T acc[W] = {};
+      for (std::size_t k = 0; k < d_; ++k) {
+        for (std::size_t l = 0; l < W; ++l) {
+          acc[l] += x[l * rows_ + r0[k]];
+        }
+      }
+      for (std::size_t l = 0; l < W; ++l) {
+        y[l * cols_ + c] = acc[l] * scale;
+      }
     }
   }
 
@@ -302,13 +306,13 @@ class SparseBinaryMatrix {
   std::size_t cols_;
   std::size_t d_;
   double value_;
-  std::vector<std::uint16_t> row_index_;  // cols_ * d_, sorted per column
-  // Interleaved rows_ x kLanes panel scratch for the batch applies; reused
-  // across calls so the steady-state decode stays allocation-free. Like
-  // CsOperator's panel scratch this makes concurrent batch applies on one
-  // matrix instance racy — every decoder owns its matrices.
-  mutable std::vector<float> lane_scratch_f_;
-  mutable std::vector<double> lane_scratch_d_;
+  // Column table: cols_ * d_ row indices, column-major, sorted per
+  // column — the mote's representation.
+  std::vector<std::uint16_t> row_index_;
+  // Row table over the same non-zeros: row r's columns are
+  // col_index_[row_start_[r] .. row_start_[r + 1]), ascending.
+  std::vector<std::uint32_t> row_start_;
+  std::vector<std::uint16_t> col_index_;
 };
 
 }  // namespace csecg::linalg

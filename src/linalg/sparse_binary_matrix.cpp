@@ -2,29 +2,44 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace csecg::linalg {
 
-SparseBinaryMatrix::SparseBinaryMatrix(std::size_t rows, std::size_t cols,
-                                       std::size_t d, util::Rng& rng)
-    : rows_(rows),
-      cols_(cols),
-      d_(d),
-      value_(1.0 / std::sqrt(static_cast<double>(d))) {
+namespace {
+
+void check_shape(std::size_t rows, std::size_t cols, std::size_t d) {
   CSECG_CHECK(rows > 0 && cols > 0, "matrix dimensions must be positive");
   CSECG_CHECK(d > 0 && d <= rows,
               "d must be in [1, rows] so column entries are distinct");
   CSECG_CHECK(rows <= std::numeric_limits<std::uint16_t>::max() + 1u,
               "row indices are stored as uint16");
-  row_index_.reserve(cols * d);
+  CSECG_CHECK(cols <= std::numeric_limits<std::uint16_t>::max() + 1u,
+              "column indices are stored as uint16");
+  CSECG_CHECK(cols * d <= std::numeric_limits<std::uint32_t>::max(),
+              "row starts are stored as uint32");
+}
+
+std::vector<std::uint16_t> draw_row_index(std::size_t rows, std::size_t cols,
+                                          std::size_t d, util::Rng& rng) {
+  check_shape(rows, cols, d);
+  std::vector<std::uint16_t> row_index;
+  row_index.reserve(cols * d);
   for (std::size_t c = 0; c < cols; ++c) {
     const auto chosen = rng.sample_without_replacement(
         static_cast<std::uint32_t>(rows), static_cast<std::uint32_t>(d));
     for (const auto r : chosen) {
-      row_index_.push_back(static_cast<std::uint16_t>(r));
+      row_index.push_back(static_cast<std::uint16_t>(r));
     }
   }
+  return row_index;
 }
+
+}  // namespace
+
+SparseBinaryMatrix::SparseBinaryMatrix(std::size_t rows, std::size_t cols,
+                                       std::size_t d, util::Rng& rng)
+    : SparseBinaryMatrix(rows, cols, d, draw_row_index(rows, cols, d, rng)) {}
 
 SparseBinaryMatrix::SparseBinaryMatrix(std::size_t rows, std::size_t cols,
                                        std::size_t d,
@@ -34,13 +49,33 @@ SparseBinaryMatrix::SparseBinaryMatrix(std::size_t rows, std::size_t cols,
       d_(d),
       value_(1.0 / std::sqrt(static_cast<double>(d))),
       row_index_(std::move(row_index)) {
-  CSECG_CHECK(rows > 0 && cols > 0, "matrix dimensions must be positive");
-  CSECG_CHECK(d > 0 && d <= rows,
-              "d must be in [1, rows] so column entries are distinct");
+  check_shape(rows, cols, d);
   CSECG_CHECK(row_index_.size() == cols * d,
               "index table must hold cols * d entries");
   for (const auto r : row_index_) {
     CSECG_CHECK(r < rows, "row index out of range in index table");
+  }
+  build_row_table();
+}
+
+void SparseBinaryMatrix::build_row_table() {
+  // Counting sort of the non-zeros by row. Columns are visited in
+  // ascending order, so each row lists its columns ascending — the order
+  // in which the column scatter adds into that row.
+  row_start_.assign(rows_ + 1, 0);
+  for (const auto r : row_index_) {
+    ++row_start_[r + 1];
+  }
+  for (std::size_t r = 0; r < rows_; ++r) {
+    row_start_[r + 1] += row_start_[r];
+  }
+  col_index_.resize(row_index_.size());
+  std::vector<std::uint32_t> next(row_start_.begin(), row_start_.end() - 1);
+  for (std::size_t c = 0; c < cols_; ++c) {
+    for (std::size_t k = 0; k < d_; ++k) {
+      col_index_[next[row_index_[c * d_ + k]]++] =
+          static_cast<std::uint16_t>(c);
+    }
   }
 }
 

@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "csecg/core/codebook.hpp"
 #include "csecg/core/codec.hpp"
@@ -217,6 +221,123 @@ TEST(SensingMatrixTest, TypeNames) {
   EXPECT_EQ(to_string(SensingMatrixType::kGaussian), "gaussian");
   EXPECT_EQ(to_string(SensingMatrixType::kBernoulli), "bernoulli");
   EXPECT_EQ(to_string(SensingMatrixType::kSparseBinary), "sparse-binary");
+}
+
+// ------------------------------------------------------- shared sensing --
+
+TEST(SharedSensingMatrix, SameProfileSharesOnePhi) {
+  const Decoder a(profile_for_cr(50));
+  const Decoder b(profile_for_cr(50));
+  const Decoder c(profile_for_cr(30));
+  EXPECT_EQ(&a.sensing().sparse(), &b.sensing().sparse());
+  EXPECT_NE(&a.sensing().sparse(), &c.sensing().sparse());
+
+  // The key is exactly generate_sparse_indices' arguments: the seed
+  // counts only through its low 16 bits.
+  SensingMatrixConfig config;
+  const SensingMatrix base(config);
+  config.seed += 1;
+  const SensingMatrix other_seed(config);
+  config.seed = SensingMatrixConfig{}.seed + 65536;
+  const SensingMatrix same_low_bits(config);
+  EXPECT_NE(&base.sparse(), &other_seed.sparse());
+  EXPECT_EQ(&base.sparse(), &same_low_bits.sparse());
+  EXPECT_EQ(&base.sparse(), &a.sensing().sparse());
+}
+
+TEST(SharedSensingMatrix, ApplyProfileReshares) {
+  Decoder a(profile_for_cr(50));
+  const Decoder b(profile_for_cr(50));
+  const Decoder c(profile_for_cr(70));
+  ASSERT_TRUE(a.apply_profile(profile_for_cr(70)));
+  EXPECT_EQ(&a.sensing().sparse(), &c.sensing().sparse());
+  EXPECT_NE(&a.sensing().sparse(), &b.sensing().sparse());
+  ASSERT_TRUE(a.apply_profile(profile_for_cr(50)));
+  EXPECT_EQ(&a.sensing().sparse(), &b.sensing().sparse());
+}
+
+TEST(SharedSensingMatrix, RegistryHoldsNoStrongReference) {
+  std::weak_ptr<const linalg::SparseBinaryMatrix> watched;
+  {
+    SensingMatrixConfig config;
+    config.rows = 96;
+    config.cols = 200;
+    config.d = 5;
+    config.seed = 4242;
+    const SensingMatrix first(config);
+    watched = first.shared_sparse();
+    {
+      const SensingMatrix second(config);
+      EXPECT_EQ(second.shared_sparse(), watched.lock());
+    }
+    EXPECT_FALSE(watched.expired());
+  }
+  EXPECT_TRUE(watched.expired());
+
+  std::weak_ptr<const linalg::SparseBinaryMatrix> decoder_phi;
+  {
+    const Decoder a(profile_for_cr(30));
+    const Decoder b(profile_for_cr(30));
+    decoder_phi = a.sensing().shared_sparse();
+  }
+  EXPECT_TRUE(decoder_phi.expired());
+}
+
+// Two threads decode 4-row panels concurrently through decoders whose
+// Phi is one shared instance; every window must equal the sequential
+// single-window decode bit for bit.
+TEST(SharedSensingMatrix, ConcurrentPanelDecodesMatchSequential) {
+  constexpr std::size_t kThreads = 2;
+  constexpr std::size_t kBatch = 4;
+  DecoderConfig config = decoder_config_from(profile_for_cr(50));
+  config.max_iterations = 200;
+  const auto codebook =
+      *resolve_profile_codebook(StreamProfile::kCodebookDefault);
+  const Decoder reference(config, codebook);
+  const Decoder first(config, codebook);
+  const Decoder second(config, codebook);
+  ASSERT_EQ(&first.sensing().sparse(), &second.sensing().sparse());
+  ASSERT_EQ(&first.sensing().sparse(), &reference.sensing().sparse());
+
+  const std::size_t m = config.cs.measurements;
+  std::vector<std::int32_t> y(kThreads * kBatch * m);
+  std::uint32_t state = 0x5eed5eedu;
+  for (auto& v : y) {
+    state ^= state << 13;
+    state ^= state >> 17;
+    state ^= state << 5;
+    v = static_cast<std::int32_t>(state % 4096u) - 2048;
+  }
+  std::vector<DecodedWindow<float>> want(kThreads * kBatch);
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    want[w] = reference.reconstruct<float>(
+        std::span<const std::int32_t>(y.data() + w * m, m));
+  }
+
+  std::vector<DecodedWindow<float>> got(kThreads * kBatch);
+  const Decoder* decoders[kThreads] = {&first, &second};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      solvers::SolverWorkspace workspace;
+      decoders[t]->reconstruct_batch_into<float>(
+          std::span<const std::int32_t>(y.data() + t * kBatch * m,
+                                        kBatch * m),
+          kBatch, workspace,
+          std::span<DecodedWindow<float>>(got.data() + t * kBatch, kBatch));
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    EXPECT_EQ(got[w].iterations, want[w].iterations);
+    ASSERT_EQ(got[w].samples.size(), want[w].samples.size());
+    EXPECT_EQ(std::memcmp(got[w].samples.data(), want[w].samples.data(),
+                          want[w].samples.size() * sizeof(float)),
+              0);
+  }
 }
 
 // ------------------------------------------------------------------ rip --

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 
+#include "csecg/core/encoder.hpp"
 #include "csecg/linalg/backend.hpp"
 #include "csecg/linalg/dense_matrix.hpp"
 #include "csecg/linalg/linear_operator.hpp"
@@ -257,10 +261,10 @@ TEST(SparseBinaryMatrixTest, RejectsBadParameters) {
   EXPECT_THROW(SparseBinaryMatrix(0, 8, 1, rng), Error);
 }
 
-// The panel applies run full groups of rows through the interleaved
-// lanes-across-rows fast path and the remainder row by row; both halves
-// must be bitwise equal to the single-row applies. 6 rows = one full lane
-// group plus a 2-row tail.
+// The panel applies run full groups of rows with one accumulator per
+// lane and a tail group at its own width; both must be bitwise equal to
+// the single-row applies. 6 rows = one full lane group plus a 2-row
+// tail.
 TEST(SparseBinaryMatrixTest, BatchAppliesAreBitwiseRowByRow) {
   util::Rng rng(12);
   const std::size_t m = 48;
@@ -297,6 +301,199 @@ TEST(SparseBinaryMatrixTest, BatchAppliesAreBitwiseRowByRow) {
   check(float{});
   check(double{});
 }
+
+// Oracle for the gather-form applies: test-local copies of the earlier
+// column scatter (apply), per-column gather (apply_transpose) and the
+// lane-interleaved panel forms, which every apply must reproduce bit for
+// bit.
+template <typename T>
+void scatter_apply(const SparseBinaryMatrix& phi, const T* x, T* y) {
+  for (std::size_t r = 0; r < phi.rows(); ++r) {
+    y[r] = T{};
+  }
+  for (std::size_t c = 0; c < phi.cols(); ++c) {
+    const T xc = x[c];
+    for (const auto r : phi.column_rows(c)) {
+      y[r] += xc;
+    }
+  }
+  const T scale = static_cast<T>(phi.value());
+  for (std::size_t r = 0; r < phi.rows(); ++r) {
+    y[r] *= scale;
+  }
+}
+
+template <typename T>
+void column_gather_transpose(const SparseBinaryMatrix& phi, const T* x,
+                             T* y) {
+  const T scale = static_cast<T>(phi.value());
+  for (std::size_t c = 0; c < phi.cols(); ++c) {
+    T acc{};
+    for (const auto r : phi.column_rows(c)) {
+      acc += x[r];
+    }
+    y[c] = acc * scale;
+  }
+}
+
+// Groups of up to four rows run on an interleaved rows x width panel; a
+// 1-row tail is the single-row form.
+template <typename T>
+void interleaved_apply_batch(const SparseBinaryMatrix& phi, const T* x, T* y,
+                             std::size_t batch) {
+  const std::size_t m = phi.rows();
+  const std::size_t n = phi.cols();
+  const T scale = static_cast<T>(phi.value());
+  std::vector<T> lanes;
+  for (std::size_t b0 = 0; b0 < batch; b0 += 4) {
+    const std::size_t w = std::min<std::size_t>(4, batch - b0);
+    if (w == 1) {
+      scatter_apply(phi, x + b0 * n, y + b0 * m);
+      break;
+    }
+    lanes.assign(m * w, T{});
+    for (std::size_t c = 0; c < n; ++c) {
+      for (const auto r : phi.column_rows(c)) {
+        for (std::size_t l = 0; l < w; ++l) {
+          lanes[r * w + l] += x[(b0 + l) * n + c];
+        }
+      }
+    }
+    for (std::size_t l = 0; l < w; ++l) {
+      for (std::size_t r = 0; r < m; ++r) {
+        y[(b0 + l) * m + r] = lanes[r * w + l] * scale;
+      }
+    }
+  }
+}
+
+template <typename T>
+void interleaved_apply_transpose_batch(const SparseBinaryMatrix& phi,
+                                       const T* x, T* y, std::size_t batch) {
+  const std::size_t m = phi.rows();
+  const std::size_t n = phi.cols();
+  const T scale = static_cast<T>(phi.value());
+  std::vector<T> lanes;
+  for (std::size_t b0 = 0; b0 < batch; b0 += 4) {
+    const std::size_t w = std::min<std::size_t>(4, batch - b0);
+    if (w == 1) {
+      column_gather_transpose(phi, x + b0 * m, y + b0 * n);
+      break;
+    }
+    lanes.resize(m * w);
+    for (std::size_t l = 0; l < w; ++l) {
+      for (std::size_t r = 0; r < m; ++r) {
+        lanes[r * w + l] = x[(b0 + l) * m + r];
+      }
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      T acc[4] = {};
+      for (const auto r : phi.column_rows(c)) {
+        for (std::size_t l = 0; l < w; ++l) {
+          acc[l] += lanes[r * w + l];
+        }
+      }
+      for (std::size_t l = 0; l < w; ++l) {
+        y[(b0 + l) * n + c] = acc[l] * scale;
+      }
+    }
+  }
+}
+
+// Index of the first element whose bit pattern differs, or a.size().
+template <typename T>
+std::size_t first_bit_difference(const std::vector<T>& a,
+                                 const std::vector<T>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) {
+      return i;
+    }
+  }
+  return a.size();
+}
+
+struct OracleShape {
+  std::size_t rows;
+  std::size_t cols;
+  std::size_t d;
+};
+
+class SparseApplyOracleTest : public ::testing::TestWithParam<OracleShape> {
+ protected:
+  template <typename T>
+  void check_all_batches() {
+    const OracleShape shape = GetParam();
+    util::Rng rng(shape.rows * 7919 + shape.cols * 31 + shape.d);
+    const SparseBinaryMatrix phi(shape.rows, shape.cols, shape.d, rng);
+    const std::size_t m = shape.rows;
+    const std::size_t n = shape.cols;
+    for (std::size_t batch = 1; batch <= 9; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      std::vector<T> x(batch * n);
+      std::vector<T> u(batch * m);
+      for (auto& v : x) {
+        v = static_cast<T>(rng.gaussian());
+      }
+      for (auto& v : u) {
+        v = static_cast<T>(rng.gaussian());
+      }
+      // Signed zeros: the order of adds decides the sign of a zero sum.
+      x[0] = T(-0.0);
+      u[u.size() - 1] = T(-0.0);
+
+      std::vector<T> want(batch * m), got(batch * m, T(-1));
+      for (std::size_t b = 0; b < batch; ++b) {
+        scatter_apply(phi, x.data() + b * n, want.data() + b * m);
+        phi.apply<T>(std::span<const T>(x.data() + b * n, n),
+                     std::span<T>(got.data() + b * m, m));
+      }
+      ASSERT_EQ(first_bit_difference(want, got), want.size()) << "apply";
+      interleaved_apply_batch(phi, x.data(), want.data(), batch);
+      std::fill(got.begin(), got.end(), T(-1));
+      phi.apply_batch<T>(x, got, batch);
+      ASSERT_EQ(first_bit_difference(want, got), want.size())
+          << "apply_batch";
+
+      std::vector<T> want_t(batch * n), got_t(batch * n, T(-1));
+      for (std::size_t b = 0; b < batch; ++b) {
+        column_gather_transpose(phi, u.data() + b * m, want_t.data() + b * n);
+        phi.apply_transpose<T>(std::span<const T>(u.data() + b * m, m),
+                               std::span<T>(got_t.data() + b * n, n));
+      }
+      ASSERT_EQ(first_bit_difference(want_t, got_t), want_t.size())
+          << "apply_transpose";
+      interleaved_apply_transpose_batch(phi, u.data(), want_t.data(), batch);
+      std::fill(got_t.begin(), got_t.end(), T(-1));
+      phi.apply_transpose_batch<T>(u, got_t, batch);
+      ASSERT_EQ(first_bit_difference(want_t, got_t), want_t.size())
+          << "apply_transpose_batch";
+    }
+  }
+};
+
+TEST_P(SparseApplyOracleTest, FloatIsBitwiseScatter) {
+  check_all_batches<float>();
+}
+
+TEST_P(SparseApplyOracleTest, DoubleIsBitwiseScatter) {
+  check_all_batches<double>();
+}
+
+// The CR 30/50/70 window shapes (358, 256 and 154 rows), rows not a
+// multiple of 4, rows with no entries (64 x 8, d = 1), d = 1 and d = rows.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SparseApplyOracleTest,
+    ::testing::Values(
+        OracleShape{core::measurements_for_cr(512, 30.0), 512, 12},
+        OracleShape{core::measurements_for_cr(512, 50.0), 512, 12},
+        OracleShape{core::measurements_for_cr(512, 70.0), 512, 12},
+        OracleShape{37, 64, 5}, OracleShape{64, 8, 1},
+        OracleShape{33, 96, 1}, OracleShape{13, 40, 13}),
+    [](const ::testing::TestParamInfo<OracleShape>& info) {
+      return std::to_string(info.param.rows) + "x" +
+             std::to_string(info.param.cols) + "d" +
+             std::to_string(info.param.d);
+    });
 
 // -------------------------------------------------------------- kernels --
 

@@ -1216,31 +1216,126 @@ std::uint32_t decode_crc(double cr, const Backend& backend,
   return crc;
 }
 
+// The same four windows under the warm prior policy of the lossy gateway
+// workload (warm start + adaptive restart, support tolerance 1e-4), decoded
+// one by one (batch 1: each window seeds from the previous solution) or as
+// one panel (batch 4: every row seeds from the empty pre-batch prior).
+std::uint32_t decode_warm_crc(double cr, const Backend& backend,
+                              std::size_t batch) {
+  core::Decoder decoder(core::profile_for_cr(cr));
+  decoder.set_backend(backend);
+  core::PriorPolicy policy;
+  policy.warm_start = true;
+  policy.support_tolerance = 1e-4;
+  decoder.set_prior_policy(policy);
+  constexpr std::size_t kWindows = 4;
+  const std::size_t n = decoder.config().cs.window;
+  const std::size_t m = decoder.config().cs.measurements;
+  const auto x = integer_ecg(kWindows, n);
+  std::vector<std::int32_t> y(kWindows * m);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    core::project_window_q15(
+        decoder.sensing().sparse(),
+        core::q15_inverse_sqrt(decoder.config().cs.d),
+        std::span<const std::int16_t>(x.data() + w * n, n),
+        std::span<std::int32_t>(y.data() + w * m, m));
+  }
+  solvers::SolverWorkspace workspace;
+  std::vector<core::DecodedWindow<float>> out(kWindows);
+  std::uint32_t crc = 0;
+  // Two passes: the second batch-4 pass seeds every row from the first
+  // pass's last solution, so the panel's warm seeding is pinned too.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t w = 0; w < kWindows; w += batch) {
+      decoder.reconstruct_batch_into<float>(
+          std::span<const std::int32_t>(y.data() + w * m, batch * m), batch,
+          workspace, std::span<core::DecodedWindow<float>>(out.data() + w,
+                                                          batch));
+    }
+    for (const auto& window : out) {
+      crc = crc32(window.samples.data(),
+                  window.samples.size() * sizeof(float), crc);
+      const auto iterations = static_cast<std::uint32_t>(window.iterations);
+      crc = crc32(&iterations, sizeof(iterations), crc);
+    }
+  }
+  return crc;
+}
+
+// Two consecutive 3-lead groups (lead l of group g is integer window
+// 3g + l) decoded jointly through reconstruct_group_into.
+std::uint32_t decode_group_crc(double cr, const Backend& backend) {
+  constexpr std::size_t kLeads = 3;
+  constexpr std::size_t kGroups = 2;
+  core::Decoder decoder(core::profile_for_cr(cr).with_leads(kLeads));
+  decoder.set_backend(backend);
+  const std::size_t n = decoder.config().cs.window;
+  const std::size_t m = decoder.config().cs.measurements;
+  const auto x = integer_ecg(kGroups * kLeads, n);
+  std::vector<std::int32_t> y(kGroups * kLeads * m);
+  for (std::size_t w = 0; w < kGroups * kLeads; ++w) {
+    core::project_window_q15(
+        decoder.sensing().sparse(),
+        core::q15_inverse_sqrt(decoder.config().cs.d),
+        std::span<const std::int16_t>(x.data() + w * n, n),
+        std::span<std::int32_t>(y.data() + w * m, m));
+  }
+  solvers::SolverWorkspace workspace;
+  std::vector<core::DecodedWindow<float>> out(kLeads);
+  std::uint32_t crc = 0;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    decoder.reconstruct_group_into<float>(
+        std::span<const std::int32_t>(y.data() + g * kLeads * m, kLeads * m),
+        workspace, std::span<core::DecodedWindow<float>>(out));
+    for (const auto& window : out) {
+      crc = crc32(window.samples.data(),
+                  window.samples.size() * sizeof(float), crc);
+      const auto iterations = static_cast<std::uint32_t>(window.iterations);
+      crc = crc32(&iterations, sizeof(iterations), crc);
+    }
+  }
+  return crc;
+}
+
 // Determinism pin for the whole decode: CR 30/50/70 x every backend x
-// batch 1 and 4. A kernel or transform change that moves a single output
-// bit moves these. With native SIMD compiled out, 'native' is the
-// reference singleton and must reproduce the reference column.
+// batch 1 and 4, plus a lead axis (two 3-lead joint group decodes) and a
+// warm axis (the warm prior policy at batch 1 and batch 4). A kernel,
+// transform or solver change that moves a single output bit moves these.
+// With native SIMD compiled out, 'native' is the reference singleton and
+// must reproduce the reference column.
 TEST(DecoderGoldens, DecodedWindowCrcGrid) {
   struct Row {
     double cr;
-    std::uint32_t crc[4];  // reference, scalar, simd4, native
+    std::uint32_t cold;   // cold single-lead decode, batch 1 and 4
+    std::uint32_t group;  // 3-lead joint decode
+    std::uint32_t warm1;  // warm policy, batch 1
+    std::uint32_t warm4;  // warm policy, batch 4
   };
+  // Every backend, precision-matched, reproduces the reference bits, so
+  // one CRC per cell covers all four columns.
   const Row rows[] = {
-      {30.0, {0xbb753c0du, 0xbb753c0du, 0xbb753c0du, 0xbb753c0du}},
-      {50.0, {0x00f18ffdu, 0x00f18ffdu, 0x00f18ffdu, 0x00f18ffdu}},
-      {70.0, {0x6c3d78f3u, 0x6c3d78f3u, 0x6c3d78f3u, 0x6c3d78f3u}},
+      {30.0, 0xbb753c0du, 0x5fbb3cbcu, 0xa54e7810u, 0x771b9c37u},
+      {50.0, 0x00f18ffdu, 0x857f8ab5u, 0x3d8b39ddu, 0x97265d88u},
+      {70.0, 0x6c3d78f3u, 0x7bc24e83u, 0xa1ab328fu, 0xfb2cdba9u},
   };
-  const auto backends = all_backends();
   for (const Row& row : rows) {
-    for (std::size_t k = 0; k < backends.size(); ++k) {
-      const std::size_t column =
-          (k == 3 && !native_simd_available()) ? 0 : k;
+    for (const Backend* backend : all_backends()) {
+      const std::string where =
+          "CR " + std::to_string(row.cr) + " " + backend->name();
       for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-        const std::uint32_t crc = decode_crc(row.cr, *backends[k], batch);
-        EXPECT_EQ(crc, row.crc[column])
-            << "CR " << row.cr << " " << backends[k]->name() << " batch "
-            << batch << std::hex << " crc 0x" << crc;
+        const std::uint32_t crc = decode_crc(row.cr, *backend, batch);
+        EXPECT_EQ(crc, row.cold)
+            << where << " batch " << batch << std::hex << " crc 0x" << crc;
       }
+      const std::uint32_t group = decode_group_crc(row.cr, *backend);
+      EXPECT_EQ(group, row.group)
+          << where << " group" << std::hex << " crc 0x" << group;
+      const std::uint32_t warm1 = decode_warm_crc(row.cr, *backend, 1);
+      EXPECT_EQ(warm1, row.warm1)
+          << where << " warm batch 1" << std::hex << " crc 0x" << warm1;
+      const std::uint32_t warm4 = decode_warm_crc(row.cr, *backend, 4);
+      EXPECT_EQ(warm4, row.warm4)
+          << where << " warm batch 4" << std::hex << " crc 0x" << warm4;
     }
   }
 }

@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
   // ------------------------------------- phase 1a: batched-native allocs --
   // The same steady-state claim for the batched decode path on the
   // native wide-SIMD backend: reconstruct_batch_into sweeps 4 windows per
-  // kernel invocation through fista_batch, and after one warm-up batch
-  // the hot path must stay allocation-free too.
+  // kernel invocation through the panel FISTA core, and after one warm-up
+  // batch the hot path must stay allocation-free too.
   std::size_t batch_windows = 0;
   std::size_t batch_allocations = 0;
   {
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
                       ? 0
                       : 1;
   // decode_batch 1 is the classic per-frame path; k > 1 drains whole
-  // batches through the panel fista_batch (same results bitwise, every
+  // batches through the panel FISTA core (same results bitwise, every
   // kernel and operator traversal sweeps the batch once). The whole sweep
   // runs on the native backend so the "cost vs b1" column isolates the
   // panel amortisation: per-window wall cost at batch k over the batch-1

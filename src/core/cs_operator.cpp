@@ -61,11 +61,21 @@ void CsOperator<T>::rebind() {
 }
 
 template <typename T>
+std::span<T> CsOperator<T>::panel(std::size_t batch) const {
+  const std::size_t size = batch * psi_->length();
+  if (scratch_.size() < size) {
+    scratch_.resize(size);
+  }
+  return std::span<T>(scratch_.data(), size);
+}
+
+template <typename T>
 void CsOperator<T>::apply(std::span<const T> alpha, std::span<T> y) const {
   CSECG_CHECK(alpha.size() == cols() && y.size() == rows(),
               "apply: size mismatch");
-  psi_->inverse<T>(alpha, std::span<T>(scratch_), *backend_);
-  phi_->apply(std::span<const T>(scratch_), y);
+  const std::span<T> x = panel(1);
+  psi_->inverse<T>(alpha, x, *backend_);
+  phi_->apply(std::span<const T>(x), y);
   charge_sparse_apply<T>(*backend_, *phi_);
 }
 
@@ -74,9 +84,10 @@ void CsOperator<T>::apply_adjoint(std::span<const T> r,
                                   std::span<T> alpha) const {
   CSECG_CHECK(r.size() == rows() && alpha.size() == cols(),
               "apply_adjoint: size mismatch");
-  phi_->apply_transpose(r, std::span<T>(scratch_));
+  const std::span<T> x = panel(1);
+  phi_->apply_transpose(r, x);
   charge_sparse_apply<T>(*backend_, *phi_);
-  psi_->forward<T>(std::span<const T>(scratch_), alpha, *backend_);
+  psi_->forward<T>(std::span<const T>(x), alpha, *backend_);
 }
 
 template <typename T>
@@ -85,10 +96,9 @@ void CsOperator<T>::apply_batch(std::span<const T> alpha_flat,
   CSECG_CHECK(alpha_flat.size() == batch * cols() &&
                   y_flat.size() == batch * rows(),
               "apply_batch: size mismatch");
-  panel_scratch_.resize(batch * psi_->length());
-  psi_->inverse_batch<T>(alpha_flat, std::span<T>(panel_scratch_), batch,
-                         *backend_);
-  phi_->apply_batch(std::span<const T>(panel_scratch_), y_flat, batch);
+  const std::span<T> x = panel(batch);
+  psi_->inverse_batch<T>(alpha_flat, x, batch, *backend_);
+  phi_->apply_batch(std::span<const T>(x), y_flat, batch);
   charge_sparse_apply<T>(*backend_, *phi_, batch);
 }
 
@@ -99,10 +109,10 @@ void CsOperator<T>::apply_adjoint_batch(std::span<const T> r_flat,
   CSECG_CHECK(r_flat.size() == batch * rows() &&
                   alpha_flat.size() == batch * cols(),
               "apply_adjoint_batch: size mismatch");
-  panel_scratch_.resize(batch * psi_->length());
-  phi_->apply_transpose_batch(r_flat, std::span<T>(panel_scratch_), batch);
+  const std::span<T> x = panel(batch);
+  phi_->apply_transpose_batch(r_flat, x, batch);
   charge_sparse_apply<T>(*backend_, *phi_, batch);
-  psi_->forward_batch<T>(std::span<const T>(panel_scratch_), alpha_flat,
+  psi_->forward_batch<T>(std::span<const T>(x), alpha_flat,
                          batch, *backend_);
 }
 

@@ -60,8 +60,11 @@ class CsOperator final : public linalg::LinearOperator<T> {
   const SensingMatrix* phi_;
   const dsp::WaveletTransform* psi_;
   const linalg::Backend* backend_;
-  mutable std::vector<T> scratch_;        // time-domain intermediate
-  mutable std::vector<T> panel_scratch_;  // batch x length time-domain panel
+  /// The first batch x length elements of scratch_, grown on demand.
+  std::span<T> panel(std::size_t batch) const;
+
+  /// Time-domain intermediate: one frame, or a batch x length panel.
+  mutable std::vector<T> scratch_;
 };
 
 }  // namespace csecg::core

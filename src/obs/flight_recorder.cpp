@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <ostream>
+#include <thread>
 
 namespace csecg::obs {
 
@@ -46,11 +47,29 @@ FlightRecorder::FlightRecorder(std::size_t capacity, const Clock* clock)
 void FlightRecorder::record(FlightEventId id, std::uint64_t a0,
                             std::uint64_t a1, std::uint64_t a2) {
   const std::uint64_t seq = cursor_.fetch_add(1, std::memory_order_relaxed);
+  // Read the clock before touching the slot, so no writer holds a slot
+  // across a call it does not control.
+  const double now = clock_->now();
   Slot& slot = slots_[seq & mask_];
-  // Invalidate first: a reader that catches the slot mid-write sees a
-  // stamp that matches neither the old nor the new event and skips it.
-  slot.stamp.store(0, std::memory_order_relaxed);
-  slot.time_bits.store(std::bit_cast<std::uint64_t>(clock_->now()),
+  // Claim the slot. Its writers, one per lap, serialise on the stamp: the
+  // claim swaps in kWriting, which no reader ever matches, so a reader
+  // that catches the slot mid-write skips it. A writer that finds a newer
+  // lap already published here drops its event: it has left the window
+  // the ring retains, and publishing it would hide the newer one.
+  std::uint64_t stamp = slot.stamp.load(std::memory_order_relaxed);
+  for (;;) {
+    if (stamp == kWriting) {
+      std::this_thread::yield();
+      stamp = slot.stamp.load(std::memory_order_relaxed);
+    } else if (stamp > seq + 1) {
+      return;
+    } else if (slot.stamp.compare_exchange_weak(stamp, kWriting,
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  slot.time_bits.store(std::bit_cast<std::uint64_t>(now),
                        std::memory_order_relaxed);
   slot.id.store(static_cast<std::uint16_t>(id), std::memory_order_relaxed);
   slot.args[0].store(a0, std::memory_order_relaxed);

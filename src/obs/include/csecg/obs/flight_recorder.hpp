@@ -11,12 +11,17 @@
 /// a long-running gateway replays after the fact.
 ///
 /// Concurrency model: any number of writer threads call record(). A
-/// relaxed fetch_add on the cursor claims a slot; the slot's payload is
-/// written with relaxed stores and published by a release store of the
-/// slot stamp (a per-slot seqlock). Readers (snapshot / dump) validate
-/// the stamp before and after reading and skip slots that were torn by
-/// a concurrent wrap — reads are best-effort by design, writes never
-/// wait.
+/// relaxed fetch_add on the cursor claims a sequence number and so a
+/// slot; the writer claims the slot itself by swapping its stamp to a
+/// busy marker, writes the payload with relaxed stores and publishes it
+/// by a release store of the stamp (a per-slot seqlock). Writers of the
+/// same slot, a lap apart, are serialised by that claim, and one that
+/// finds a newer lap already published drops its event (it has left the
+/// retained window), so a preempted writer can never hide a newer event.
+/// A writer only waits when another lap's writer holds its slot for the
+/// few stores of a payload. Readers (snapshot / dump) validate the stamp
+/// before and after reading and skip slots that were torn by a
+/// concurrent wrap — reads are best-effort by design.
 
 #include <atomic>
 #include <cstddef>
@@ -122,7 +127,8 @@ class FlightRecorder {
 
  private:
   /// Seqlock slot: payload fields are relaxed, stamp publishes. A valid
-  /// slot holds stamp == seq + 1 for the event with global index seq.
+  /// slot holds stamp == seq + 1 for the event with global index seq;
+  /// kWriting while a writer holds it.
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};
     std::atomic<std::uint64_t> time_bits{0};
@@ -133,6 +139,8 @@ class FlightRecorder {
   /// Reads slot holding global index \p seq into \p out; false if torn.
   bool read_slot(std::uint64_t seq, FlightEvent& out) const;
   void dump(std::uint64_t trigger_seq);
+
+  static constexpr std::uint64_t kWriting = ~std::uint64_t{0};
 
   std::size_t capacity_;  ///< power of two
   std::size_t mask_;

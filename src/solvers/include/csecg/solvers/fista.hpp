@@ -14,6 +14,8 @@
 /// with f(a) = ||A a - y||_2^2 and g(a) = lambda ||a||_1, whose prox is
 /// plain soft thresholding. Converges at O(1/k^2) versus ISTA's O(1/k).
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "csecg/linalg/linear_operator.hpp"
@@ -43,7 +45,9 @@ ShrinkageResult<T> ista(const linalg::LinearOperator<T>& A,
 /// \p workspace, so repeated solves of the same shape never touch the
 /// heap (steady-state allocation-free — the fleet decode hot path). The
 /// returned reference stays valid until the next solve through the same
-/// workspace; one workspace per thread.
+/// workspace; one workspace per thread. fista()/ista() are the one-row
+/// panel solve (see fista_panel), plus the single-row extras: per-
+/// coefficient weights, sigma stopping and objective recording.
 template <typename T>
 ShrinkageResult<T>& fista(const linalg::LinearOperator<T>& A,
                           std::span<const T> y,
@@ -56,62 +60,51 @@ ShrinkageResult<T>& ista(const linalg::LinearOperator<T>& A,
                          const ShrinkageOptions& options,
                          SolverWorkspace& workspace);
 
-/// Batched FISTA: solves `lambdas.size()` problems that share the
-/// operator A, with y_flat holding the measurement rows packed back to
-/// back (batch * A.rows() elements) and lambdas[b] the per-problem l1
-/// weight (options.lambda is ignored). Each row runs the exact
-/// sequential iteration over its own slice with its own momentum scalar
-/// (so adaptive restart works per row), and a converged row is frozen —
-/// snapshotted at its own stopping iteration and dropped from every
-/// later sweep, so finished rows stop being charged while the batch runs
-/// on to the slowest member. Every problem produces bitwise the same
-/// iterate trajectory, iteration count and solution as a sequential
-/// fista() call with the same options and backend; with
-/// options.warm_start set (batch * A.cols() elements, per-row priors
-/// packed back to back) each row seeds from its own prior.
-///
-/// Restrictions (CHECK-enforced): no per-coefficient weights, no sigma
-/// stopping, no objective recording — the fleet decode path uses none of
-/// them. Results live in the workspace (buffers<T>().batch_results) and
-/// stay valid until the next batched solve through it.
-template <typename T>
-std::span<ShrinkageResult<T>> fista_batch(const linalg::LinearOperator<T>& A,
-                                          std::span<const T> y_flat,
-                                          std::span<const double> lambdas,
-                                          const ShrinkageOptions& options,
-                                          SolverWorkspace& workspace);
+/// How the rows of a panel solve are coupled.
+enum class Coupling : std::uint8_t {
+  /// Every row is its own problem with its own lambda, momentum scalar,
+  /// restart test and stopping rule (the fleet's batched decode). A
+  /// converged row is snapshotted at its own stopping iteration and
+  /// dropped from every later sweep, so finished rows stop being charged
+  /// while the panel runs on to the slowest member. Each row produces
+  /// bitwise the iterate trajectory, iteration count and solution of a
+  /// fista() call with the same options, lambda and backend.
+  kIndependent,
+  /// All rows (the leads of a lead group) form one joint l2,1 problem,
+  ///
+  ///   min_a sum_l ||A a_l - y_l||^2 + lambda * sum_i ||a_{.,i}||_2
+  ///
+  /// where a_{.,i} collects coefficient i across all leads. The proximal
+  /// step is the group shrink (Backend::group_soft_threshold_batch): leads
+  /// with correlated wavelet support reinforce each other's coefficients
+  /// instead of being thresholded independently. One momentum scalar, one
+  /// restart test and one stopping rule span all rows * cols
+  /// coefficients, so the group converges, and is priced, as one problem:
+  /// one operator traversal per iteration regardless of the lead count.
+  /// One row degenerates bitwise to fista() (the group shrink delegates to
+  /// the plain soft threshold).
+  kGroup,
+};
 
-/// Joint group-sparse FISTA over a lead group: `leads` measurement rows
-/// (packed back to back in y_flat, leads * A.rows() elements) that share
-/// the operator A and one l2,1 regulariser,
-///
-///   min_a sum_l ||A a_l - y_l||^2 + lambda * sum_i ||a_{.,i}||_2
-///
-/// where a_{.,i} collects coefficient i across all leads. The proximal
-/// step is the group shrink (Backend::group_soft_threshold_batch): leads
-/// with correlated wavelet support reinforce each other's coefficients
-/// instead of being thresholded independently. The whole group shares
-/// one momentum scalar, one restart test and one stopping rule (summed
-/// over the lead axis), so the group converges — and is priced — as one
-/// problem riding the panel kernels: one operator traversal per
-/// iteration regardless of L.
-///
-/// leads == 1 degenerates bitwise to the sequential fista() call with
-/// the same options and backend: every panel kernel is row-identical to
-/// its single-vector form, the group shrink delegates to the plain soft
-/// threshold, and the scalar bookkeeping reduces to the sequential
-/// loops. options.warm_start, when set, is leads * A.cols() per-lead
-/// priors packed back to back.
+/// Panel FISTA: solves the `rows` measurement rows packed back to back in
+/// y_flat (rows * A.rows() elements), which share the operator A, with
+/// every stage of the iteration running as one panel kernel over the
+/// active rows. \p lambdas holds one l1 weight per problem: one per row
+/// for Coupling::kIndependent, a single one for Coupling::kGroup
+/// (options.lambda is ignored). options.warm_start, when set, is
+/// rows * A.cols() per-row priors packed back to back.
 ///
 /// Restrictions (CHECK-enforced): no per-coefficient weights, no sigma
-/// stopping, no objective recording. Results (one per lead; iterations/
-/// converged are group-wide, final_objective is the per-lead diagnostic
-/// ||A a_l - y_l||^2 + lambda ||a_l||_1) live in the workspace and stay
-/// valid until the next batched or group solve through it.
+/// stopping, no objective recording. Results (one per row; for a group,
+/// iterations/converged are group-wide and final_objective is the
+/// per-lead diagnostic ||A a_l - y_l||^2 + lambda ||a_l||_1) live in the
+/// workspace and stay valid until the next solve through it.
 template <typename T>
-std::span<ShrinkageResult<T>> fista_group(const linalg::LinearOperator<T>& A,
+std::span<ShrinkageResult<T>> fista_panel(const linalg::LinearOperator<T>& A,
                                           std::span<const T> y_flat,
-                                          std::size_t leads,
+                                          std::size_t rows,
+                                          Coupling coupling,
+                                          std::span<const double> lambdas,
                                           const ShrinkageOptions& options,
                                           SolverWorkspace& workspace);
 

@@ -26,7 +26,7 @@ struct ShrinkageOptions {
   std::optional<double> lipschitz;
   /// Kernel backend the solve runs through — both precisions execute the
   /// same schedule (§IV-B optimisation study). Null = the library default
-  /// (the simd4 NEON model). Wrap in a CountingBackend to collect the op
+  /// (native, see linalg::default_backend). Wrap in a CountingBackend to collect the op
   /// mix. Must point at a backend that outlives the solve; the shared
   /// singletons from linalg/backend.hpp always do.
   const linalg::Backend* backend = nullptr;
@@ -46,7 +46,7 @@ struct ShrinkageOptions {
   /// zero — the Polanía et al. prior exploitation: consecutive ECG
   /// windows are quasi-periodic, so the previous window's solution is an
   /// excellent initial iterate. Length must be A.cols() for fista()/
-  /// ista(); for fista_batch it is batch * A.cols() with per-row priors
+  /// ista(); for fista_panel it is rows * A.cols() with per-row priors
   /// packed back to back. Empty = cold (zero) start. The span must stay
   /// valid for the duration of the solve; the values are consumed at
   /// seed time, so the caller may overwrite them afterwards.

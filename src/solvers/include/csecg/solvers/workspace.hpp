@@ -4,11 +4,11 @@
 /// \file workspace.hpp
 /// Reusable scratch memory for the iterative shrinkage solvers.
 ///
-/// A plain fista()/ista() call heap-allocates five n/m-sized scratch
-/// vectors (extrapolation point, residual, gradient, candidate, next
-/// iterate) plus the per-coefficient threshold buffer and the result
-/// storage. That is fine for a one-shot solve but becomes the dominant
-/// non-kernel cost once a gateway decodes many 2-s windows per second
+/// A plain fista()/ista() call heap-allocates six n/m-sized scratch
+/// vectors (extrapolation point, residual, gradient, candidate, current
+/// and next iterate) plus the threshold buffer and the result storage.
+/// That is fine for a one-shot solve but becomes the dominant non-kernel
+/// cost once a gateway decodes many 2-s windows per second
 /// across a worker pool. A SolverWorkspace owns all of that scratch:
 /// buffers are sized on first use and reused across solves, so FISTA runs
 /// allocation-free in steady state. One workspace per worker thread; a
@@ -25,57 +25,45 @@ namespace csecg::solvers {
 class SolverWorkspace {
  public:
   /// Per-precision scratch. All vectors only ever grow; resize() between
-  /// solves of the same problem shape never reallocates.
+  /// solves of the same problem shape never reallocates. The iterate
+  /// panels hold `rows` problems packed back to back (rows * m or
+  /// rows * n elements), so one panel kernel invocation sweeps them all.
+  /// Independent rows live at *slot* positions: converged problems are
+  /// compacted out by swapping the last active one in, so the panels
+  /// shrink as rows freeze (perm maps slot -> problem index).
   template <typename T>
   struct Buffers {
-    std::vector<T> yk;         ///< extrapolation point y_k (n)
-    std::vector<T> residual;   ///< A y_k - y (m)
-    std::vector<T> gradient;   ///< A^T residual (n)
-    std::vector<T> candidate;  ///< y_k - (1/L) grad (n)
-    std::vector<T> a_next;     ///< next iterate scratch (n)
-    std::vector<T> thresholds; ///< per-coefficient weighted thresholds (n)
-    /// Solve output; the workspace-taking fista()/ista() overloads write
-    /// here and return a reference, reusing solution capacity.
-    ShrinkageResult<T> result;
-    /// Caller-side scratch for code wrapping the solver (e.g. the decoder
-    /// reuses these for the scaled measurement vector and A^T y).
-    std::vector<T> aux_m;      ///< measurement-sized helper (m)
-    std::vector<T> aux_n;      ///< coefficient-sized helper (n)
-
-    /// Panel batch-solve scratch (fista_batch): the same roles as the
-    /// vectors above with B problems packed back to back (B*m or B*n
-    /// elements), so one panel kernel invocation sweeps the whole batch.
-    /// Rows live at *slot* positions — converged problems are compacted
-    /// out by swapping the last active row in, so the panels shrink as
-    /// rows freeze (batch_perm maps slot -> problem index).
-    std::vector<T> batch_yk;
-    std::vector<T> batch_residual;
-    std::vector<T> batch_gradient;
-    std::vector<T> batch_candidate;
-    std::vector<T> batch_a_next;
-    std::vector<T> batch_solution;
-    std::vector<T> batch_thresholds;      ///< per-slot threshold (B)
-    std::vector<T> batch_ys;              ///< compactable measurement rows (B*m)
-    std::vector<T> batch_rownorms;        ///< per-slot dot_batch output (B)
-    std::vector<std::size_t> batch_perm;  ///< slot -> problem index (B)
-    std::vector<double> batch_change_sq;  ///< per-slot iterate change (B)
-    std::vector<double> batch_norm_sq;    ///< per-slot iterate norm (B)
-    /// Per-slot momentum scalars t_k (B). Shared across the batch when
-    /// adaptive restart is off (the sequence is data-independent), but a
-    /// restart resets one row's momentum without touching its neighbours,
-    /// so each row carries its own.
-    std::vector<double> batch_tk;
-    /// Per-slot consecutive support-stable iteration counters (B), for
-    /// the support-aware tolerance relaxation.
-    std::vector<std::size_t> batch_support_stable;
-    /// Per-problem outputs of fista_batch; reused across calls of the
-    /// same batch shape, so steady-state batched decode is allocation-free.
-    std::vector<ShrinkageResult<T>> batch_results;
-    /// Caller-side batch scratch (the decoder's scaled measurement rows,
-    /// per-problem lambdas and replicated warm-start seed rows).
-    std::vector<T> batch_y;
-    std::vector<double> batch_lambdas;
-    std::vector<double> batch_warm;
+    std::vector<T> yk;         ///< extrapolation points y_k (rows * n)
+    std::vector<T> residual;   ///< A y_k - y (rows * m)
+    std::vector<T> gradient;   ///< A^T residual (rows * n)
+    std::vector<T> candidate;  ///< y_k - (1/L) grad (rows * n)
+    std::vector<T> a_next;     ///< next iterates (rows * n)
+    std::vector<T> a_k;        ///< current iterates (rows * n)
+    /// Per-slot thresholds lambda_p / L, or the per-coefficient weighted
+    /// thresholds (n) of a weighted single-row solve.
+    std::vector<T> thresholds;
+    std::vector<T> ys;                    ///< compactable measurement rows
+    std::vector<T> rownorms;              ///< per-row dot_batch output
+    std::vector<std::size_t> perm;        ///< slot -> problem index
+    std::vector<double> change_sq;        ///< per-slot iterate change
+    std::vector<double> norm_sq;          ///< per-slot iterate norm
+    /// Per-slot momentum scalars t_k. A restart resets one row's momentum
+    /// without touching its neighbours, so each problem carries its own.
+    std::vector<double> tk;
+    /// Per-slot consecutive support-stable iteration counters, for the
+    /// support-aware tolerance relaxation.
+    std::vector<std::size_t> support_stable;
+    /// Solve outputs, one per row; fista()/ista() return results[0].
+    /// Reused across calls of the same shape, so steady-state decode is
+    /// allocation-free.
+    std::vector<ShrinkageResult<T>> results;
+    /// Caller-side scratch for code wrapping the solver (the decoder's
+    /// scaled measurement rows, A^T y rows, per-problem lambdas and
+    /// replicated warm-start seed rows).
+    std::vector<T> y;
+    std::vector<T> aty;
+    std::vector<double> lambdas;
+    std::vector<double> warm;
   };
 
   template <typename T>

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -148,6 +150,73 @@ TEST(ObsMetricsFlightRecorder, ConcurrentWritersLoseNothing) {
     EXPECT_EQ(event.id, obs::FlightEventId::kFrameAccepted);
     EXPECT_LT(event.args[0], kThreads);
     EXPECT_LT(event.args[1], kPerThread);
+  }
+}
+
+// A clock that parks the first thread to read it until released. A
+// flight-recorder writer reads the clock inside record(), after it has
+// claimed its sequence number, so the parked writer is preempted
+// mid-record for as long as the test wants — no reliance on load.
+class ParkingClock final : public obs::Clock {
+ public:
+  double now() const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!parked_) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return 1.0;
+  }
+  void wait_parked() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void release() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool parked_ = false;
+  mutable bool released_ = false;
+};
+
+TEST(ObsMetricsFlightRecorder, PreemptedWriterNeverHidesANewerLap) {
+  ParkingClock clock;
+  obs::FlightRecorder recorder(8, &clock);
+  // The first writer claims sequence 0 (slot 0) and parks mid-record.
+  std::thread parked([&recorder] {
+    recorder.record(obs::FlightEventId::kFrameAccepted, 99, 0);
+  });
+  clock.wait_parked();
+  // Two more writers lap the 8-slot ring twice while it is parked, so
+  // sequences 8 and 16 land in slot 0 again.
+  std::vector<std::thread> lappers;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    lappers.emplace_back([&recorder, t] {
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        recorder.record(obs::FlightEventId::kFrameAccepted, t, i);
+      }
+    });
+  }
+  for (auto& w : lappers) {
+    w.join();
+  }
+  // The parked writer finishes last; its event must not displace the
+  // newest one in its slot.
+  clock.release();
+  parked.join();
+
+  EXPECT_EQ(recorder.recorded(), 17u);
+  const auto events = recorder.snapshot();
+  ASSERT_EQ(events.size(), recorder.capacity());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, 9 + i);
+    EXPECT_LT(events[i].args[0], 2u);
   }
 }
 

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 
+#include "csecg/core/cs_operator.hpp"
+#include "csecg/core/sensing_matrix.hpp"
+#include "csecg/dsp/dwt.hpp"
 #include "csecg/linalg/dense_matrix.hpp"
 #include "csecg/linalg/kernels.hpp"
 #include "csecg/linalg/vector_ops.hpp"
@@ -395,14 +400,14 @@ TEST(FistaTest, WorkspaceOverloadMatchesByValueAndReusesBuffers) {
   const double* gradient = buffers.gradient.data();
   const double* candidate = buffers.candidate.data();
   const double* a_next = buffers.a_next.data();
-  const double* solution = buffers.result.solution.data();
+  const double* solution = buffers.results[0].solution.data();
   fista<double>(op, y, options, workspace);
   EXPECT_EQ(buffers.yk.data(), yk);
   EXPECT_EQ(buffers.residual.data(), residual);
   EXPECT_EQ(buffers.gradient.data(), gradient);
   EXPECT_EQ(buffers.candidate.data(), candidate);
   EXPECT_EQ(buffers.a_next.data(), a_next);
-  EXPECT_EQ(buffers.result.solution.data(), solution);
+  EXPECT_EQ(buffers.results[0].solution.data(), solution);
 }
 
 TEST(KernelOpMixTest, CopyIsPureMemoryTraffic) {
@@ -561,7 +566,7 @@ TEST(FistaPrior, SupportToleranceStopsEarlyOnceSupportLocksIn) {
   }
 }
 
-// -------------------------------------------------------- fista_batch --
+// ------------------------------------ fista_panel, independent rows --
 
 // Packs `batch` distinct compressed-sensing problems that share one
 // operator, with per-problem measurement energy spread so the rows
@@ -601,8 +606,9 @@ BatchProblem make_batch_problem(std::size_t batch, std::uint64_t seed) {
 void expect_batch_matches_sequential(const BatchProblem& p,
                                      ShrinkageOptions options) {
   SolverWorkspace batch_ws;
-  const auto batched = fista_batch<float>(p.op, p.y_flat, p.lambdas,
-                                          options, batch_ws);
+  const auto batched =
+      fista_panel<float>(p.op, p.y_flat, p.batch, Coupling::kIndependent,
+                         p.lambdas, options, batch_ws);
   ASSERT_EQ(batched.size(), p.batch);
   const std::span<const double> warm_all = options.warm_start;
   for (std::size_t b = 0; b < p.batch; ++b) {
@@ -628,7 +634,7 @@ void expect_batch_matches_sequential(const BatchProblem& p,
 TEST(FistaBatch, AdaptiveRestartMatchesSequentialBitwise) {
   // The restart decision is per-row state (each row's own momentum
   // scalar and alignment test), so restarting rows must not perturb
-  // their neighbours — previously fista_batch rejected the option.
+  // their neighbours.
   const auto p = make_batch_problem(4, 40);
   ShrinkageOptions options;
   options.max_iterations = 400;
@@ -671,7 +677,9 @@ TEST(FistaBatch, WarmPriorRejectsWrongSize) {
   std::vector<double> prior(p.n, 0.0);  // one row's worth, need batch * n
   options.warm_start = prior;
   SolverWorkspace ws;
-  EXPECT_THROW(fista_batch<float>(p.op, p.y_flat, p.lambdas, options, ws),
+  EXPECT_THROW(fista_panel<float>(p.op, p.y_flat, p.batch,
+                                  Coupling::kIndependent, p.lambdas, options,
+                                  ws),
                Error);
 }
 
@@ -708,7 +716,8 @@ TEST(FistaBatch, FrozenRowsStopBeingCharged) {
 
   SolverWorkspace ws;
   linalg::OpCounterScope scope;
-  fista_batch<float>(p.op, p.y_flat, p.lambdas, options, ws);
+  fista_panel<float>(p.op, p.y_flat, p.batch, Coupling::kIndependent,
+                     p.lambdas, options, ws);
   const auto& batch_counts = scope.counts();
   EXPECT_EQ(batch_counts.scalar_mac, sequential_total.scalar_mac);
   EXPECT_EQ(batch_counts.scalar_op, sequential_total.scalar_op);
@@ -716,7 +725,7 @@ TEST(FistaBatch, FrozenRowsStopBeingCharged) {
   EXPECT_EQ(batch_counts.stores, sequential_total.stores);
 }
 
-// -------------------------------------------------------- fista_group --
+// ------------------------------------------ fista_panel, lead group --
 
 // leads == 1 is the wire-compatibility contract: a lead group of one
 // must be THE sequential solve, bitwise — same iterates, same restart
@@ -732,8 +741,9 @@ TEST(FistaGroup, LeadsOneMatchesSequentialBitwise) {
   options.lambda = p.lambdas[0];
 
   SolverWorkspace ws;
-  const auto group = fista_group<float>(
-      p.op, std::span<const float>(p.y_flat), 1, options, ws);
+  const auto group = fista_panel<float>(
+      p.op, std::span<const float>(p.y_flat), 1, Coupling::kGroup,
+      std::span<const double>(&options.lambda, 1), options, ws);
   ASSERT_EQ(group.size(), 1u);
   const auto sequential =
       fista<float>(p.op, std::span<const float>(p.y_flat), options);
@@ -765,8 +775,9 @@ TEST(FistaGroup, LeadsOneWarmStartMatchesSequentialBitwise) {
   options.warm_start = prior;
 
   SolverWorkspace ws;
-  const auto group = fista_group<float>(
-      p.op, std::span<const float>(p.y_flat), 1, options, ws);
+  const auto group = fista_panel<float>(
+      p.op, std::span<const float>(p.y_flat), 1, Coupling::kGroup,
+      std::span<const double>(&options.lambda, 1), options, ws);
   ASSERT_EQ(group.size(), 1u);
   const auto sequential =
       fista<float>(p.op, std::span<const float>(p.y_flat), options);
@@ -808,9 +819,9 @@ TEST(FistaGroup, RecoversSharedSupportGroupJointly) {
   options.adaptive_restart = true;
   options.lambda = 1e-3;
   SolverWorkspace ws;
-  const auto results =
-      fista_group<float>(op, std::span<const float>(y_flat), leads,
-                         options, ws);
+  const auto results = fista_panel<float>(
+      op, std::span<const float>(y_flat), leads, Coupling::kGroup,
+      std::span<const double>(&options.lambda, 1), options, ws);
   ASSERT_EQ(results.size(), leads);
   for (std::size_t l = 0; l < leads; ++l) {
     SCOPED_TRACE("lead " + std::to_string(l));
@@ -832,7 +843,10 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     ShrinkageOptions options;
     options.lipschitz = 16.0;
     std::vector<float> short_y(12, 0.5f);  // not leads * m
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(short_y), 2,
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(short_y), 2,
+                                    Coupling::kGroup,
+                                    std::span<const double>(&options.lambda,
+                                                            1),
                                     options, ws),
                  Error);
   }
@@ -841,7 +855,10 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     options.lipschitz = 16.0;
     std::vector<double> weights(16, 1.0);
     options.weights = weights;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y), 2,
+                                    Coupling::kGroup,
+                                    std::span<const double>(&options.lambda,
+                                                            1),
                                     options, ws),
                  Error);
   }
@@ -849,7 +866,10 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     ShrinkageOptions options;
     options.lipschitz = 16.0;
     options.sigma = 1.0;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y), 2,
+                                    Coupling::kGroup,
+                                    std::span<const double>(&options.lambda,
+                                                            1),
                                     options, ws),
                  Error);
   }
@@ -858,9 +878,728 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     options.lipschitz = 16.0;
     std::vector<double> prior(16, 0.0);  // need leads * n = 32
     options.warm_start = prior;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y), 2,
+                                    Coupling::kGroup,
+                                    std::span<const double>(&options.lambda,
+                                                            1),
                                     options, ws),
                  Error);
+  }
+}
+
+
+// ----------------------------------------------------- FistaCoreOracle --
+//
+// The one panel core against test-local copies of the three loops it
+// replaced: the single-row shrinkage loop behind fista()/ista(), the
+// independent-row batch loop and the l2,1 group loop. Solutions,
+// iteration counts, convergence flags, final residual norms and objective
+// traces must match bit for bit, and so must the charged op mix under
+// both counting backends.
+namespace oracle {
+
+template <typename T>
+struct Result {
+  std::vector<T> solution;
+  std::size_t iterations = 0;
+  bool converged = false;
+  double final_objective = 0.0;
+  double final_residual_norm = 0.0;
+  std::vector<double> objective_trace;
+};
+
+linalg::OpCounts loop_cost(std::uint64_t elems, std::uint64_t loads,
+                           std::uint64_t stores,
+                           linalg::KernelMode schedule) {
+  linalg::OpCounts c;
+  if (schedule == linalg::KernelMode::kScalar) {
+    c.scalar_op = elems;
+  } else {
+    c.vector_op4 = elems / 4;
+  }
+  c.loads = loads;
+  c.stores = stores;
+  return c;
+}
+
+template <typename T>
+void diagnose(const linalg::LinearOperator<T>& A, const linalg::Backend& be,
+              const T* y, double lambda, const std::vector<double>& weights,
+              Result<T>& r) {
+  std::vector<T> residual(A.rows());
+  A.apply(std::span<const T>(r.solution), std::span<T>(residual));
+  be.subtract(residual.data(), y, residual.data(), residual.size());
+  r.final_residual_norm = std::sqrt(static_cast<double>(
+      be.norm2_squared(residual.data(), residual.size())));
+  double l1 = 0.0;
+  if (weights.empty()) {
+    l1 = static_cast<double>(be.norm1(r.solution.data(), r.solution.size()));
+  } else {
+    for (std::size_t i = 0; i < r.solution.size(); ++i) {
+      l1 += weights[i] * std::fabs(static_cast<double>(r.solution[i]));
+    }
+  }
+  r.final_objective =
+      r.final_residual_norm * r.final_residual_norm + lambda * l1;
+}
+
+// The single-row loop (fista() with momentum, ista() without).
+template <typename T>
+Result<T> sequential(const linalg::LinearOperator<T>& A,
+                     std::span<const T> y, const ShrinkageOptions& options,
+                     bool momentum) {
+  const std::size_t n = A.cols();
+  const std::size_t m = A.rows();
+  const linalg::Backend& be = *options.backend;
+  const linalg::KernelMode schedule = be.counted_schedule();
+  const double lipschitz = *options.lipschitz;
+  const T step = static_cast<T>(1.0 / lipschitz);
+  const T threshold = static_cast<T>(options.lambda / lipschitz);
+  const bool weighted = !options.weights.empty();
+  std::vector<T> thresholds(n);
+  for (std::size_t i = 0; weighted && i < n; ++i) {
+    thresholds[i] = static_cast<T>(options.weights[i]) * threshold;
+  }
+  const auto g_value = [&](const std::vector<T>& a) {
+    if (!weighted) {
+      return static_cast<double>(be.norm1(a.data(), a.size()));
+    }
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += options.weights[i] * std::fabs(static_cast<double>(a[i]));
+    }
+    return acc;
+  };
+  Result<T> result;
+  std::vector<T> yk(n, T{});
+  result.solution.assign(n, T{});
+  for (std::size_t i = 0; i < options.warm_start.size(); ++i) {
+    result.solution[i] = static_cast<T>(options.warm_start[i]);
+    yk[i] = result.solution[i];
+  }
+  std::vector<T> residual(m), gradient(n), candidate(n), a_next(n);
+  double t_k = 1.0;
+  const bool support_aware = options.support_tolerance > 0.0;
+  std::size_t support_stable = 0;
+  for (std::size_t k = 1; k <= options.max_iterations; ++k) {
+    A.apply(std::span<const T>(yk), std::span<T>(residual));
+    be.subtract(residual.data(), y.data(), residual.data(), m);
+    A.apply_adjoint(std::span<const T>(residual), std::span<T>(gradient));
+    be.copy(yk.data(), candidate.data(), n);
+    be.axpy(static_cast<T>(-2.0) * step, gradient.data(), candidate.data(),
+            n);
+    std::vector<T>& a_k = result.solution;
+    if (weighted) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const T v = candidate[i];
+        const T mag = (v < T{} ? -v : v) - thresholds[i];
+        const T shrunk = mag > T{} ? mag : T{};
+        a_next[i] = v < T{} ? -shrunk : shrunk;
+      }
+      if (be.counting()) {
+        be.charge(loop_cost(5 * n, 2 * n, n, schedule));
+      }
+    } else {
+      be.soft_threshold(candidate.data(), threshold, a_next.data(), n);
+    }
+    double change_sq = 0.0;
+    double norm_sq = 0.0;
+    bool support_changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double diff =
+          static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]);
+      change_sq += diff * diff;
+      norm_sq +=
+          static_cast<double>(a_next[i]) * static_cast<double>(a_next[i]);
+      if (support_aware && ((a_next[i] != T{}) != (a_k[i] != T{}))) {
+        support_changed = true;
+      }
+    }
+    if (support_aware) {
+      support_stable = support_changed ? 0 : support_stable + 1;
+    }
+    if (momentum) {
+      if (options.adaptive_restart) {
+        double alignment = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          alignment +=
+              (static_cast<double>(yk[i]) - static_cast<double>(a_next[i])) *
+              (static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]));
+        }
+        if (alignment > 0.0) {
+          t_k = 1.0;
+        }
+      }
+      const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
+      const T beta = static_cast<T>((t_k - 1.0) / t_next);
+      for (std::size_t i = 0; i < n; ++i) {
+        yk[i] = a_next[i] + beta * (a_next[i] - a_k[i]);
+      }
+      t_k = t_next;
+      if (be.counting()) {
+        be.charge(loop_cost(2 * n, 2 * n, n, schedule));
+      }
+    } else {
+      be.copy(a_next.data(), yk.data(), n);
+    }
+    std::swap(a_k, a_next);
+    result.iterations = k;
+    if (be.counting()) {
+      be.charge(loop_cost(3 * n, 2 * n, 0, schedule));
+    }
+    const bool need_objective = options.record_objective ||
+                                options.sigma.has_value() ||
+                                k == options.max_iterations;
+    double residual_norm = 0.0;
+    if (need_objective) {
+      A.apply(std::span<const T>(a_k), std::span<T>(residual));
+      be.subtract(residual.data(), y.data(), residual.data(), m);
+      residual_norm = std::sqrt(
+          static_cast<double>(be.norm2_squared(residual.data(), m)));
+      if (options.record_objective) {
+        result.objective_trace.push_back(residual_norm * residual_norm +
+                                         options.lambda * g_value(a_k));
+      }
+    }
+    if (options.sigma.has_value() && residual_norm <= *options.sigma) {
+      result.converged = true;
+      break;
+    }
+    const double tolerance =
+        support_aware && support_stable >= options.support_stable_iters
+            ? std::max(options.tolerance, options.support_tolerance)
+            : options.tolerance;
+    if (norm_sq > 0.0 && std::sqrt(change_sq / norm_sq) < tolerance) {
+      result.converged = true;
+      break;
+    }
+  }
+  diagnose(A, be, y.data(), options.lambda, options.weights, result);
+  return result;
+}
+
+// The independent-row batch loop: per-row momentum, restart and stopping,
+// converged rows snapshotted and compacted out.
+template <typename T>
+std::vector<Result<T>> batch(const linalg::LinearOperator<T>& A,
+                             std::span<const T> y_flat,
+                             std::span<const double> lambdas,
+                             const ShrinkageOptions& options) {
+  const std::size_t rows = lambdas.size();
+  const std::size_t n = A.cols();
+  const std::size_t m = A.rows();
+  const linalg::Backend& be = *options.backend;
+  const linalg::KernelMode schedule = be.counted_schedule();
+  const double lipschitz = *options.lipschitz;
+  const T step = static_cast<T>(1.0 / lipschitz);
+  std::vector<Result<T>> results(rows);
+  std::vector<T> thresholds(rows);
+  for (std::size_t b = 0; b < rows; ++b) {
+    thresholds[b] = static_cast<T>(lambdas[b] / lipschitz);
+  }
+  const bool support_aware = options.support_tolerance > 0.0;
+  std::vector<T> yk(rows * n, T{}), a_k(rows * n, T{});
+  for (std::size_t i = 0; i < options.warm_start.size(); ++i) {
+    yk[i] = static_cast<T>(options.warm_start[i]);
+    a_k[i] = yk[i];
+  }
+  std::vector<T> residual(rows * m), gradient(rows * n), candidate(rows * n),
+      a_next(rows * n), rownorms(rows);
+  std::vector<T> ys(y_flat.begin(), y_flat.end());
+  std::vector<double> tk(rows, 1.0), change(rows), norm(rows);
+  std::vector<std::size_t> stable(rows, 0), perm(rows);
+  for (std::size_t b = 0; b < rows; ++b) {
+    perm[b] = b;
+  }
+  std::size_t active = rows;
+  for (std::size_t k = 1; k <= options.max_iterations && active > 0; ++k) {
+    A.apply_batch(std::span<const T>(yk.data(), active * n),
+                  std::span<T>(residual.data(), active * m), active);
+    be.subtract_batch(residual.data(), ys.data(), residual.data(), active, m);
+    A.apply_adjoint_batch(std::span<const T>(residual.data(), active * m),
+                          std::span<T>(gradient.data(), active * n), active);
+    be.copy_batch(yk.data(), candidate.data(), active, n);
+    be.axpy_batch(static_cast<T>(-2.0) * step, gradient.data(),
+                  candidate.data(), active, n);
+    be.soft_threshold_batch(candidate.data(), thresholds.data(),
+                            a_next.data(), active, n);
+    for (std::size_t s = 0; s < active; ++s) {
+      T* yk_row = yk.data() + s * n;
+      const T* next = a_next.data() + s * n;
+      const T* cur = a_k.data() + s * n;
+      double change_sq = 0.0;
+      double norm_sq = 0.0;
+      bool support_changed = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double diff =
+            static_cast<double>(next[i]) - static_cast<double>(cur[i]);
+        change_sq += diff * diff;
+        norm_sq += static_cast<double>(next[i]) * static_cast<double>(next[i]);
+        if (support_aware && ((next[i] != T{}) != (cur[i] != T{}))) {
+          support_changed = true;
+        }
+      }
+      change[s] = change_sq;
+      norm[s] = norm_sq;
+      if (support_aware) {
+        stable[s] = support_changed ? 0 : stable[s] + 1;
+      }
+      double t_b = tk[s];
+      if (options.adaptive_restart) {
+        double alignment = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          alignment +=
+              (static_cast<double>(yk_row[i]) - static_cast<double>(next[i])) *
+              (static_cast<double>(next[i]) - static_cast<double>(cur[i]));
+        }
+        if (alignment > 0.0) {
+          t_b = 1.0;
+        }
+      }
+      const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_b * t_b)) / 2.0;
+      const T beta = static_cast<T>((t_b - 1.0) / t_next);
+      for (std::size_t i = 0; i < n; ++i) {
+        yk_row[i] = next[i] + beta * (next[i] - cur[i]);
+      }
+      tk[s] = t_next;
+    }
+    if (be.counting()) {
+      for (std::size_t s = 0; s < active; ++s) {
+        be.charge(loop_cost(2 * n, 2 * n, n, schedule));
+        be.charge(loop_cost(3 * n, 2 * n, 0, schedule));
+      }
+    }
+    if (k == options.max_iterations) {
+      A.apply_batch(std::span<const T>(a_next.data(), active * n),
+                    std::span<T>(residual.data(), active * m), active);
+      be.subtract_batch(residual.data(), ys.data(), residual.data(), active,
+                        m);
+      be.dot_batch(residual.data(), residual.data(), rownorms.data(), active,
+                   m);
+    }
+    for (std::size_t s = active; s-- > 0;) {
+      const double tolerance =
+          support_aware && stable[s] >= options.support_stable_iters
+              ? std::max(options.tolerance, options.support_tolerance)
+              : options.tolerance;
+      const bool converged =
+          norm[s] > 0.0 && std::sqrt(change[s] / norm[s]) < tolerance;
+      const T* next = a_next.data() + s * n;
+      if (converged || k == options.max_iterations) {
+        Result<T>& r = results[perm[s]];
+        r.solution.assign(next, next + n);
+        r.iterations = k;
+        r.converged = converged;
+      }
+      if (converged) {
+        --active;
+        if (s != active) {
+          std::copy_n(yk.data() + active * n, n, yk.data() + s * n);
+          std::copy_n(a_next.data() + active * n, n, a_next.data() + s * n);
+          std::copy_n(ys.data() + active * m, m, ys.data() + s * m);
+          thresholds[s] = thresholds[active];
+          tk[s] = tk[active];
+          stable[s] = stable[active];
+          perm[s] = perm[active];
+        }
+      }
+    }
+    std::swap(a_k, a_next);
+  }
+  for (std::size_t b = 0; b < rows; ++b) {
+    diagnose(A, be, y_flat.data() + b * m, lambdas[b], {}, results[b]);
+  }
+  return results;
+}
+
+// The l2,1 group loop: one momentum scalar, restart test and stopping rule
+// over all leads * n coefficients, group shrink as the prox.
+template <typename T>
+std::vector<Result<T>> group(const linalg::LinearOperator<T>& A,
+                             std::span<const T> y_flat, std::size_t leads,
+                             const ShrinkageOptions& options) {
+  const std::size_t n = A.cols();
+  const std::size_t m = A.rows();
+  const std::size_t ln = leads * n;
+  const linalg::Backend& be = *options.backend;
+  const linalg::KernelMode schedule = be.counted_schedule();
+  const double lipschitz = *options.lipschitz;
+  const T step = static_cast<T>(1.0 / lipschitz);
+  const T threshold = static_cast<T>(options.lambda / lipschitz);
+  const bool support_aware = options.support_tolerance > 0.0;
+  std::vector<T> yk(ln, T{}), a_k(ln, T{});
+  for (std::size_t i = 0; i < options.warm_start.size(); ++i) {
+    yk[i] = static_cast<T>(options.warm_start[i]);
+    a_k[i] = yk[i];
+  }
+  std::vector<T> residual(leads * m), gradient(ln), candidate(ln), a_next(ln),
+      rownorms(leads);
+  double t_k = 1.0;
+  std::size_t support_stable = 0;
+  std::size_t iterations = 0;
+  bool converged = false;
+  for (std::size_t k = 1; k <= options.max_iterations; ++k) {
+    A.apply_batch(std::span<const T>(yk.data(), ln),
+                  std::span<T>(residual.data(), leads * m), leads);
+    be.subtract_batch(residual.data(), y_flat.data(), residual.data(), leads,
+                      m);
+    A.apply_adjoint_batch(std::span<const T>(residual.data(), leads * m),
+                          std::span<T>(gradient.data(), ln), leads);
+    be.copy_batch(yk.data(), candidate.data(), leads, n);
+    be.axpy_batch(static_cast<T>(-2.0) * step, gradient.data(),
+                  candidate.data(), leads, n);
+    be.group_soft_threshold_batch(candidate.data(), threshold, a_next.data(),
+                                  leads, n);
+    double change_sq = 0.0;
+    double norm_sq = 0.0;
+    bool support_changed = false;
+    for (std::size_t i = 0; i < ln; ++i) {
+      const double diff =
+          static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]);
+      change_sq += diff * diff;
+      norm_sq +=
+          static_cast<double>(a_next[i]) * static_cast<double>(a_next[i]);
+      if (support_aware && ((a_next[i] != T{}) != (a_k[i] != T{}))) {
+        support_changed = true;
+      }
+    }
+    if (support_aware) {
+      support_stable = support_changed ? 0 : support_stable + 1;
+    }
+    if (options.adaptive_restart) {
+      double alignment = 0.0;
+      for (std::size_t i = 0; i < ln; ++i) {
+        alignment +=
+            (static_cast<double>(yk[i]) - static_cast<double>(a_next[i])) *
+            (static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]));
+      }
+      if (alignment > 0.0) {
+        t_k = 1.0;
+      }
+    }
+    const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
+    const T beta = static_cast<T>((t_k - 1.0) / t_next);
+    for (std::size_t i = 0; i < ln; ++i) {
+      yk[i] = a_next[i] + beta * (a_next[i] - a_k[i]);
+    }
+    t_k = t_next;
+    if (be.counting()) {
+      be.charge(loop_cost(2 * ln, 2 * ln, ln, schedule));
+      be.charge(loop_cost(3 * ln, 2 * ln, 0, schedule));
+    }
+    std::swap(a_k, a_next);
+    iterations = k;
+    if (k == options.max_iterations) {
+      A.apply_batch(std::span<const T>(a_k.data(), ln),
+                    std::span<T>(residual.data(), leads * m), leads);
+      be.subtract_batch(residual.data(), y_flat.data(), residual.data(),
+                        leads, m);
+      be.dot_batch(residual.data(), residual.data(), rownorms.data(), leads,
+                   m);
+    }
+    const double tolerance =
+        support_aware && support_stable >= options.support_stable_iters
+            ? std::max(options.tolerance, options.support_tolerance)
+            : options.tolerance;
+    if (norm_sq > 0.0 && std::sqrt(change_sq / norm_sq) < tolerance) {
+      converged = true;
+      break;
+    }
+  }
+  std::vector<Result<T>> results(leads);
+  for (std::size_t l = 0; l < leads; ++l) {
+    Result<T>& r = results[l];
+    r.solution.assign(a_k.data() + l * n, a_k.data() + (l + 1) * n);
+    r.iterations = iterations;
+    r.converged = converged;
+    diagnose(A, be, y_flat.data() + l * m, options.lambda, {}, r);
+  }
+  return results;
+}
+
+}  // namespace oracle
+
+template <typename T>
+void expect_same_result(const ShrinkageResult<T>& got,
+                        const oracle::Result<T>& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(got.final_residual_norm, want.final_residual_norm);
+  EXPECT_EQ(got.final_objective, want.final_objective);
+  EXPECT_EQ(got.objective_trace, want.objective_trace);
+  ASSERT_EQ(got.solution.size(), want.solution.size());
+  for (std::size_t i = 0; i < want.solution.size(); ++i) {
+    ASSERT_EQ(got.solution[i], want.solution[i]) << "coefficient " << i;
+  }
+}
+
+void expect_same_counts(const linalg::OpCounts& got,
+                        const linalg::OpCounts& want) {
+  EXPECT_EQ(got.scalar_mac, want.scalar_mac);
+  EXPECT_EQ(got.scalar_op, want.scalar_op);
+  EXPECT_EQ(got.vector_mac4, want.vector_mac4);
+  EXPECT_EQ(got.vector_op4, want.vector_op4);
+  EXPECT_EQ(got.leftover_lane, want.leftover_lane);
+  EXPECT_EQ(got.loads, want.loads);
+  EXPECT_EQ(got.stores, want.stores);
+}
+
+const std::array<const linalg::Backend*, 2> kCountingBackends = {
+    &linalg::counting_scalar_backend(), &linalg::counting_simd4_backend()};
+
+// A dense operator whose panel applies are DenseMatrix's own panel
+// kernels (one matrix traversal per panel), not the row-loop default.
+template <typename T>
+class PanelDenseOp final : public linalg::LinearOperator<T> {
+ public:
+  explicit PanelDenseOp(linalg::DenseMatrix<T> m) : m_(std::move(m)) {}
+  std::size_t rows() const override { return m_.rows(); }
+  std::size_t cols() const override { return m_.cols(); }
+  void apply(std::span<const T> x, std::span<T> y) const override {
+    m_.apply(x, y);
+  }
+  void apply_adjoint(std::span<const T> x, std::span<T> y) const override {
+    m_.apply_transpose(x, y);
+  }
+  void apply_batch(std::span<const T> x, std::span<T> y,
+                   std::size_t batch) const override {
+    m_.apply_batch(x, y, batch);
+  }
+  void apply_adjoint_batch(std::span<const T> x, std::span<T> y,
+                           std::size_t batch) const override {
+    m_.apply_transpose_batch(x, y, batch);
+  }
+
+ private:
+  linalg::DenseMatrix<T> m_;
+};
+
+PanelDenseOp<float> panel_gaussian_op(std::size_t rows, std::size_t cols,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  linalg::DenseMatrix<float> m(rows, cols);
+  const double sigma = 1.0 / std::sqrt(static_cast<double>(rows));
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      m(r, c) = static_cast<float>(rng.gaussian(0.0, sigma));
+    }
+  }
+  return PanelDenseOp<float>(std::move(m));
+}
+
+// Single row: fista/ista x {uniform, weighted} x {sigma, none} x
+// record_objective x warm x support_tolerance x adaptive_restart, on a
+// dense operator and on the decoder's Phi Psi operator (whose batch-1
+// panel applies must reduce to the single-row legs, charges included).
+TEST(FistaCoreOracle, SingleRowMatchesTheSequentialLoop) {
+  const auto p = make_batch_problem(1, 70);
+  core::SensingMatrixConfig phi_config;
+  phi_config.rows = 32;
+  phi_config.cols = 64;
+  phi_config.d = 4;
+  const core::SensingMatrix phi(phi_config);
+  const dsp::WaveletTransform psi(dsp::Wavelet::from_name("db4"), 64, 3);
+  std::vector<double> weights(p.n, 1.0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    weights[i] = 0.1;
+  }
+  std::vector<double> prior(p.n);
+  for (const linalg::Backend* be : kCountingBackends) {
+    const core::CsOperator<float> cs(phi, psi, *be);
+    for (const linalg::LinearOperator<float>* op :
+         {static_cast<const linalg::LinearOperator<float>*>(&p.op),
+          static_cast<const linalg::LinearOperator<float>*>(&cs)}) {
+      // A prior near (not at) the fixed point, so warm solves still run.
+      ShrinkageOptions seed_options;
+      seed_options.lambda = p.lambdas[0];
+      seed_options.lipschitz = 16.0;
+      seed_options.max_iterations = 60;
+      const auto seed = fista<float>(*op, p.y_flat, seed_options);
+      for (std::size_t i = 0; i < p.n; ++i) {
+        prior[i] = static_cast<double>(seed.solution[i]);
+      }
+      double y_norm_sq = 0.0;
+      for (const float v : p.y_flat) {
+        y_norm_sq += static_cast<double>(v) * v;
+      }
+      const double y_norm = std::sqrt(y_norm_sq);
+      for (unsigned mask = 0; mask < 128; ++mask) {
+        const bool momentum = (mask & 1u) != 0;
+        ShrinkageOptions options;
+        options.lambda = p.lambdas[0];
+        options.lipschitz = 16.0;
+        options.max_iterations = 150;
+        options.tolerance = 1e-6;
+        options.backend = be;
+        if ((mask & 2u) != 0) {
+          options.weights = weights;
+        }
+        if ((mask & 4u) != 0) {
+          options.sigma = 0.02 * y_norm;
+        }
+        options.record_objective = (mask & 8u) != 0;
+        if ((mask & 16u) != 0) {
+          options.warm_start = prior;
+        }
+        if ((mask & 32u) != 0) {
+          options.support_tolerance = 1e-4;
+        }
+        options.adaptive_restart = (mask & 64u) != 0;
+        SCOPED_TRACE(std::string(be->name()) + (op == &p.op ? " dense" : " cs") +
+                     " mask " + std::to_string(mask));
+        linalg::OpCounts want_counts;
+        oracle::Result<float> want;
+        {
+          linalg::OpCounterScope scope;
+          want = oracle::sequential<float>(*op, p.y_flat, options, momentum);
+          want_counts = scope.counts();
+        }
+        SolverWorkspace ws;
+        linalg::OpCounterScope scope;
+        const ShrinkageResult<float>& got =
+            momentum ? fista<float>(*op, p.y_flat, options, ws)
+                     : ista<float>(*op, p.y_flat, options, ws);
+        const linalg::OpCounts got_counts = scope.counts();
+        expect_same_result(got, want);
+        expect_same_counts(got_counts, want_counts);
+      }
+    }
+  }
+}
+
+// Independent panels of 1-5 rows whose rows freeze at different
+// iterations, cold and warm, with and without restart and support-aware
+// stopping, on the row-loop and the panel-kernel dense operators.
+TEST(FistaCoreOracle, IndependentPanelsMatchTheBatchLoop) {
+  for (std::size_t rows = 1; rows <= 5; ++rows) {
+    const auto p = make_batch_problem(rows, 80 + rows);
+    const auto panel_op = panel_gaussian_op(p.m, p.n, 80 + rows);
+    std::vector<float> panel_y(rows * p.m);
+    for (std::size_t b = 0; b < rows; ++b) {
+      std::vector<float> truth(p.n, 0.0f);
+      for (std::size_t j = 0; j < 3 + b; ++j) {
+        truth[(7 * j + 5 * b) % p.n] = 1.0f + 0.5f * static_cast<float>(j);
+      }
+      panel_op.apply(truth, std::span<float>(panel_y.data() + b * p.m, p.m));
+    }
+    std::vector<double> priors(rows * p.n);
+    for (std::size_t i = 0; i < priors.size(); ++i) {
+      priors[i] = 0.01 * static_cast<double>(i % 7) - 0.03;
+    }
+    for (const linalg::Backend* be : kCountingBackends) {
+      for (unsigned mask = 0; mask < 8; ++mask) {
+        ShrinkageOptions options;
+        options.lipschitz = 16.0;
+        options.max_iterations = 600;
+        options.tolerance = 1e-4;
+        options.backend = be;
+        options.adaptive_restart = (mask & 1u) != 0;
+        if ((mask & 2u) != 0) {
+          options.warm_start = priors;
+        }
+        if ((mask & 4u) != 0) {
+          options.support_tolerance = 1e-4;
+        }
+        for (int which = 0; which < 2; ++which) {
+          const linalg::LinearOperator<float>& op =
+              which == 0 ? static_cast<const linalg::LinearOperator<float>&>(
+                               p.op)
+                         : panel_op;
+          const std::span<const float> y =
+              which == 0 ? std::span<const float>(p.y_flat)
+                         : std::span<const float>(panel_y);
+          SCOPED_TRACE(std::string(be->name()) + " rows " +
+                       std::to_string(rows) + " mask " +
+                       std::to_string(mask) + " op " + std::to_string(which));
+          linalg::OpCounts want_counts;
+          std::vector<oracle::Result<float>> want;
+          {
+            linalg::OpCounterScope scope;
+            want = oracle::batch<float>(op, y, p.lambdas, options);
+            want_counts = scope.counts();
+          }
+          SolverWorkspace ws;
+          linalg::OpCounterScope scope;
+          const auto got = fista_panel<float>(
+              op, y, rows, Coupling::kIndependent, p.lambdas, options, ws);
+          const linalg::OpCounts got_counts = scope.counts();
+          ASSERT_EQ(got.size(), rows);
+          for (std::size_t b = 0; b < rows; ++b) {
+            SCOPED_TRACE("row " + std::to_string(b));
+            expect_same_result(got[b], want[b]);
+          }
+          expect_same_counts(got_counts, want_counts);
+          if (rows > 1 && mask == 1) {
+            // The frozen-row path must actually be exercised.
+            std::size_t lo = want[0].iterations;
+            std::size_t hi = lo;
+            for (const auto& r : want) {
+              lo = std::min(lo, r.iterations);
+              hi = std::max(hi, r.iterations);
+            }
+            EXPECT_LT(lo, hi);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Lead groups of L = 1-4, cold and warm, with and without restart and
+// support-aware stopping, including a run that stops at max_iterations.
+TEST(FistaCoreOracle, GroupsMatchTheGroupLoop) {
+  for (std::size_t leads = 1; leads <= 4; ++leads) {
+    const auto p = make_batch_problem(leads, 90 + leads);
+    const auto panel_op = panel_gaussian_op(p.m, p.n, 90 + leads);
+    std::vector<double> priors(leads * p.n);
+    for (std::size_t i = 0; i < priors.size(); ++i) {
+      priors[i] = 0.02 * static_cast<double>(i % 5) - 0.04;
+    }
+    for (const linalg::Backend* be : kCountingBackends) {
+      for (unsigned mask = 0; mask < 16; ++mask) {
+        ShrinkageOptions options;
+        options.lambda = 2e-3;
+        options.lipschitz = 16.0;
+        options.max_iterations = (mask & 8u) != 0 ? 25 : 400;
+        options.tolerance = 1e-5;
+        options.backend = be;
+        options.adaptive_restart = (mask & 1u) != 0;
+        if ((mask & 2u) != 0) {
+          options.warm_start = priors;
+        }
+        if ((mask & 4u) != 0) {
+          options.support_tolerance = 1e-4;
+        }
+        for (int which = 0; which < 2; ++which) {
+          const linalg::LinearOperator<float>& op =
+              which == 0 ? static_cast<const linalg::LinearOperator<float>&>(
+                               p.op)
+                         : panel_op;
+          SCOPED_TRACE(std::string(be->name()) + " leads " +
+                       std::to_string(leads) + " mask " +
+                       std::to_string(mask) + " op " + std::to_string(which));
+          linalg::OpCounts want_counts;
+          std::vector<oracle::Result<float>> want;
+          {
+            linalg::OpCounterScope scope;
+            want = oracle::group<float>(op, p.y_flat, leads, options);
+            want_counts = scope.counts();
+          }
+          SolverWorkspace ws;
+          linalg::OpCounterScope scope;
+          const auto got = fista_panel<float>(
+              op, p.y_flat, leads, Coupling::kGroup,
+              std::span<const double>(&options.lambda, 1), options, ws);
+          const linalg::OpCounts got_counts = scope.counts();
+          ASSERT_EQ(got.size(), leads);
+          for (std::size_t l = 0; l < leads; ++l) {
+            SCOPED_TRACE("lead " + std::to_string(l));
+            expect_same_result(got[l], want[l]);
+          }
+          expect_same_counts(got_counts, want_counts);
+        }
+      }
+    }
   }
 }
 
